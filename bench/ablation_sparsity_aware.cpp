@@ -26,7 +26,7 @@ int main() {
       ctx.part_opts.sparsity_aware = aware;
       const auto sampler =
           make_sampler(SamplerKind::kGraphSage, DistMode::kPartitioned, ds.graph, ctx);
-      as_partitioned(*sampler).sample_bulk(cluster, batches, ids, 7);
+      sampler->sample_bulk(cluster, batches, ids, 7);
       const auto& comm = cluster.comm_stats().at(kPhaseProbability);
       print_row({std::to_string(p), std::to_string(c), aware ? "aware" : "oblivious",
                  fmt(cluster.phase_time(kPhaseProbability)), fmt(comm.seconds),

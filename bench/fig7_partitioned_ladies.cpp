@@ -44,7 +44,7 @@ int main() {
       ctx.grid = &cluster.grid();
       const auto sampler =
           make_sampler(SamplerKind::kLadies, DistMode::kPartitioned, ds.graph, ctx);
-      as_partitioned(*sampler).sample_bulk(cluster, batches, ids, /*epoch_seed=*/7);
+      sampler->sample_bulk(cluster, batches, ids, /*epoch_seed=*/7);
       print_row({std::to_string(p), std::to_string(c), fmt(cluster.total_time()),
                  fmt(cluster.phase_time(kPhaseProbability)),
                  fmt(cluster.phase_time(kPhaseSampling)),

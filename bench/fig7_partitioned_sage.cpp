@@ -48,7 +48,7 @@ int main() {
       ctx.grid = &cluster.grid();
       const auto sampler =
           make_sampler(SamplerKind::kGraphSage, DistMode::kPartitioned, ds.graph, ctx);
-      as_partitioned(*sampler).sample_bulk(cluster, batches, ids, /*epoch_seed=*/7);
+      sampler->sample_bulk(cluster, batches, ids, /*epoch_seed=*/7);
       print_row({std::to_string(pt.p), std::to_string(pt.c),
                  fmt(cluster.total_time()),
                  fmt(cluster.phase_time(kPhaseProbability)),

@@ -24,6 +24,7 @@
 #include "core/its.hpp"
 #include "core/ladies.hpp"
 #include "core/minibatch.hpp"
+#include "core/sampler.hpp"
 #include "plan/builders.hpp"
 #include "plan/executor.hpp"
 #include "plan/optimize.hpp"
@@ -266,8 +267,8 @@ int run(bool smoke, const std::string& json_path) {
 
   const SamplerConfig sage_cfg{bench::arch().sage_fanout, 1};
   const SamplerConfig ladies_cfg{{bench::arch().ladies_s}, 1};
-  GraphSageSampler sage(ds.graph, sage_cfg);
-  LadiesSampler ladies(ds.graph, ladies_cfg);
+  MatrixSampler sage(ds.graph, build_sage_plan(), sage_cfg);
+  MatrixSampler ladies(ds.graph, build_ladies_plan(), ladies_cfg);
 
   // LADIES epochs are milliseconds at bench scale; loop them so each timed
   // sample is long enough for a stable min.

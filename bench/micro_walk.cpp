@@ -31,8 +31,10 @@
 #include "bench_util.hpp"
 #include "common/rng.hpp"
 #include "core/graphsaint.hpp"
+#include "core/sampler.hpp"
 #include "graph/generators.hpp"
 #include "graph/relabel.hpp"
+#include "plan/builders.hpp"
 
 namespace dms {
 namespace {
@@ -50,6 +52,19 @@ bool identical(const std::vector<MinibatchSample>& a,
     }
   }
   return true;
+}
+
+constexpr index_t kWalkLength = 8;
+
+/// The bench's GraphSAINT sampler (kWalkLength-step walks, one model layer,
+/// seed 1) under the given walk-engine options.
+std::unique_ptr<MatrixSampler> make_saint(const Graph& graph,
+                                          const WalkEngineOptions& opts) {
+  auto s = std::make_unique<MatrixSampler>(
+      graph, build_saint_plan(kWalkLength, /*model_layers=*/1),
+      walk_adapter_config(/*model_layers=*/1, /*seed=*/1));
+  s->executor().set_walk_options(opts);
+  return s;
 }
 
 struct VariantResult {
@@ -79,13 +94,12 @@ double walk_seconds(const PlanExecutor& exec) {
 /// the throughput ratios are what the bench reports.
 std::vector<VariantResult> run_variants(
     const std::vector<std::pair<std::string, WalkEngineOptions>>& variants,
-    const Graph& graph, const GraphSaintConfig& cfg,
+    const Graph& graph,
     const std::vector<std::vector<index_t>>& batches,
     const std::vector<index_t>& ids, int epochs) {
-  std::vector<std::unique_ptr<GraphSaintSampler>> samplers;
+  std::vector<std::unique_ptr<MatrixSampler>> samplers;
   for (const auto& [name, opts] : variants) {
-    samplers.push_back(std::make_unique<GraphSaintSampler>(graph, cfg));
-    samplers.back()->set_walk_options(opts);
+    samplers.push_back(make_saint(graph, opts));
     (void)samplers.back()->sample_bulk(batches, ids, 0);  // warm
     samplers.back()->executor().reset_stats();
   }
@@ -144,7 +158,6 @@ int run(bool smoke, bool compare, const std::string& json_path) {
               params.scale, static_cast<long long>(n),
               static_cast<long long>(graph.num_edges()));
 
-  const GraphSaintConfig cfg{/*walk_length=*/8, /*model_layers=*/1, 1};
   const int num_batches = smoke ? 32 : 64;
   const index_t roots_per_batch = smoke ? 64 : 512;
   // The locality section runs fused-only, so it can afford the walker count
@@ -180,17 +193,15 @@ int run(bool smoke, bool compare, const std::string& json_path) {
   // engine must reproduce the matrix path's minibatches exactly.
   bool bit_identical = true;
   {
-    GraphSaintSampler ref(graph, cfg);
-    ref.set_walk_options(matrix_opts);
-    GraphSaintSampler fused(graph, cfg);
-    fused.set_walk_options(full_opts);
-    bit_identical = identical(ref.sample_bulk(batches, ids, 7),
-                              fused.sample_bulk(batches, ids, 7));
+    const auto ref = make_saint(graph, matrix_opts);
+    const auto fused = make_saint(graph, full_opts);
+    bit_identical = identical(ref->sample_bulk(batches, ids, 7),
+                              fused->sample_bulk(batches, ids, 7));
   }
 
   const std::vector<VariantResult> fm_results = run_variants(
       {{"matrix", matrix_opts}, {"fused+relabel+bucket", full_opts}}, graph,
-      cfg, batches, ids, epochs);
+      batches, ids, epochs);
   const VariantResult& matrix = fm_results[0];
   const VariantResult& fused_full = fm_results[1];
 
@@ -198,7 +209,7 @@ int run(bool smoke, bool compare, const std::string& json_path) {
       run_variants({{"fused", direct_opts},
                     {"fused+relabel", relabel_opts},
                     {"fused+relabel+bucket", full_opts}},
-                   graph, cfg, locality_batches, ids, locality_epochs);
+                   graph, locality_batches, ids, locality_epochs);
   const VariantResult& direct = loc_results[0];
   const VariantResult& relabeled = loc_results[1];
   const VariantResult& full = loc_results[2];
@@ -206,7 +217,7 @@ int run(bool smoke, bool compare, const std::string& json_path) {
   std::printf("Fused vs matrix (%d epochs x %d batches x %lld roots, walk "
               "length %lld):\n",
               epochs, num_batches, static_cast<long long>(roots_per_batch),
-              static_cast<long long>(cfg.walk_length));
+              static_cast<long long>(kWalkLength));
   for (const VariantResult* r : {&matrix, &fused_full}) {
     std::printf("  %-22s %12.3e edges/s  (%llu steps in %.4fs)\n",
                 r->name.c_str(), r->edges_per_s(),

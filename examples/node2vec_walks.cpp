@@ -10,7 +10,7 @@
 // and exits nonzero if the minibatches are not bit-identical.
 #include <cstdio>
 
-#include "core/node2vec.hpp"
+#include "dist/sampler_factory.hpp"
 #include "graph/dataset.hpp"
 
 using namespace dms;
@@ -42,13 +42,14 @@ int main() {
   const Dataset ds = make_products_sim(dcfg);
   std::printf("%s\n", ds.graph.summary(ds.name).c_str());
 
-  Node2VecConfig cfg;
-  cfg.walk_length = 6;
-  cfg.model_layers = 2;
-  cfg.p = 0.5;  // discourage backtracking…
-  cfg.q = 2.0;  // …and favor staying near the previous vertex (BFS-like)
-  const Node2VecSampler sampler(ds.graph, cfg);
-  std::printf("\n%s\n", describe(sampler.plan()).c_str());
+  SamplerContext ctx;
+  ctx.config = {{1, 1}, 1};  // two model layers; walk kinds read only the count
+  ctx.walk.walk_length = 6;
+  ctx.walk.p = 0.5;  // discourage backtracking…
+  ctx.walk.q = 2.0;  // …and favor staying near the previous vertex (BFS-like)
+  const auto sampler =
+      make_sampler(SamplerKind::kNode2Vec, DistMode::kReplicated, ds.graph, ctx);
+  std::printf("\n%s\n", describe(sampler->plan()).c_str());
 
   std::vector<std::vector<index_t>> batches = {{0, 1, 2, 3, 4, 5},
                                                {6, 7, 8, 9, 10, 11}};
@@ -56,13 +57,14 @@ int main() {
 
   // Matrix path: the same plan with fusion forced off — every round builds
   // Q, multiplies, biases, normalizes, and ITS-samples as sparse-matrix ops.
-  Node2VecSampler reference(ds.graph, cfg);
-  reference.set_walk_options({.fused = false});
-  const auto matrix = reference.sample_bulk(batches, ids, /*epoch_seed=*/3);
+  const auto reference =
+      make_sampler(SamplerKind::kNode2Vec, DistMode::kReplicated, ds.graph, ctx);
+  reference->executor().set_walk_options({.fused = false});
+  const auto matrix = reference->sample_bulk(batches, ids, /*epoch_seed=*/3);
 
   // Fused path (the default): per-walker advance over the relabeled,
   // cache-bucketed adjacency copy.
-  const auto fused = sampler.sample_bulk(batches, ids, /*epoch_seed=*/3);
+  const auto fused = sampler->sample_bulk(batches, ids, /*epoch_seed=*/3);
 
   for (std::size_t i = 0; i < fused.size(); ++i) {
     std::printf("batch %zu: %zu induced walk vertices, %lld sampled edges\n",

@@ -34,7 +34,7 @@ int main() {
     const auto sampler =
         make_sampler(SamplerKind::kGraphSage, DistMode::kPartitioned, ds.graph, ctx);
     const auto per_row =
-        as_partitioned(*sampler).sample_bulk(cluster, batches, ids, /*epoch_seed=*/5);
+        sampler->sample_bulk(cluster, batches, ids, /*epoch_seed=*/5);
 
     std::size_t total_samples = 0;
     for (const auto& row : per_row) total_samples += row.size();

@@ -6,8 +6,9 @@
 // the ITS sample, and the extracted adjacency).
 #include <cstdio>
 
-#include "core/graphsage.hpp"
 #include "core/ladies.hpp"
+#include "core/sampler.hpp"
+#include "plan/builders.hpp"
 #include "sparse/ops.hpp"
 #include "sparse/spgemm_engine.hpp"
 
@@ -44,7 +45,7 @@ int main() {
   normalize_rows(p);
   print_matrix("P = NORM(Q^L A)", p);
 
-  GraphSageSampler sage(graph, {{2}, /*seed=*/1});
+  MatrixSampler sage(graph, build_sage_plan(), {{2}, /*seed=*/1});
   const MinibatchSample sage_sample = sage.sample_one(batch, 0, /*epoch_seed=*/3);
   print_matrix("A^L_S (sampled adjacency, frontier columns)", sage_sample.layers[0].adj);
   std::printf("frontier vertices:");
@@ -53,8 +54,8 @@ int main() {
   }
   std::printf("\n\n=== LADIES, batch {1,5}, s=2 (Figure 2b) ===\n");
 
-  LadiesSampler ladies(graph, {{2}, /*seed=*/1});
-  const auto prob = ladies.probability_vector(batch);
+  MatrixSampler ladies(graph, build_ladies_plan(), {{2}, /*seed=*/1});
+  const auto prob = ladies_probability_vector(graph, batch);
   std::printf("probability vector (paper: [1/7 0 1/7 1/7 4/7 0]):\n  ");
   for (const value_t v : prob) std::printf("%5.3f ", v);
   std::printf("\n");

@@ -5,9 +5,10 @@
 #include <cstdio>
 #include <filesystem>
 
-#include "core/graphsage.hpp"
+#include "core/sampler.hpp"
 #include "graph/dataset.hpp"
 #include "graph/io.hpp"
+#include "plan/builders.hpp"
 
 using namespace dms;
 
@@ -27,8 +28,8 @@ int main() {
   std::printf("loaded:    %s\n", loaded.graph.summary(loaded.name).c_str());
 
   // Same seeds on the same topology -> identical samples.
-  GraphSageSampler s1(original.graph, {{4, 4}, 1});
-  GraphSageSampler s2(loaded.graph, {{4, 4}, 1});
+  MatrixSampler s1(original.graph, build_sage_plan(), {{4, 4}, 1});
+  MatrixSampler s2(loaded.graph, build_sage_plan(), {{4, 4}, 1});
   const std::vector<index_t> batch(original.train_idx.begin(),
                                    original.train_idx.begin() + 32);
   const auto a = s1.sample_one(batch, 0, 99);

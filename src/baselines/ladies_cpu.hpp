@@ -5,7 +5,7 @@
 
 #include <cstdint>
 
-#include "core/sampler.hpp"
+#include "core/sample.hpp"
 #include "graph/graph.hpp"
 
 namespace dms {

@@ -1,11 +1,11 @@
 // Frontier construction: converts per-row sampled vertex lists into a
 // LayerSample whose column space is [row vertices..., new samples...]
-// (see sampler.hpp for the convention).
+// (see core/sample.hpp for the convention).
 #pragma once
 
 #include <vector>
 
-#include "core/sampler.hpp"
+#include "core/sample.hpp"
 
 namespace dms {
 

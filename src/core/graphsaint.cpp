@@ -1,27 +1,13 @@
 #include "core/graphsaint.hpp"
 
-#include "plan/builders.hpp"
-
 namespace dms {
 
 SamplerConfig walk_adapter_config(index_t model_layers, std::uint64_t seed) {
+  check(model_layers >= 1, "walk_adapter_config: model_layers must be >= 1");
   SamplerConfig cfg;
   cfg.fanouts.assign(static_cast<std::size_t>(model_layers), 1);
   cfg.seed = seed;
   return cfg;
-}
-
-GraphSaintSampler::GraphSaintSampler(const Graph& graph, GraphSaintConfig config)
-    : graph_(graph),
-      config_(config),
-      exec_(build_saint_plan(config.walk_length, config.model_layers),
-            walk_adapter_config(config.model_layers, config.seed)) {}
-
-std::vector<MinibatchSample> GraphSaintSampler::sample_bulk(
-    const std::vector<std::vector<index_t>>& batches,
-    const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const {
-  check(batches.size() == batch_ids.size(), "sample_bulk: ids/batches mismatch");
-  return exec_.run(graph_, batches, batch_ids, epoch_seed, &ws_);
 }
 
 }  // namespace dms

@@ -1,6 +1,6 @@
-// Matrix-based GraphSAINT-RW sampler — a *graph-wise* sampling algorithm
+// Matrix-based GraphSAINT-RW sampling — a *graph-wise* sampling algorithm
 // (the third taxonomy of §2.2, which the paper leaves to future work) —
-// compiled to a walk-shaped sampling plan (DESIGN.md §9).
+// compiled to the walk-shaped plan build_saint_plan() (DESIGN.md §9).
 //
 // GraphSAINT (Zeng et al. 2020) builds each minibatch as the subgraph
 // induced by the union of short random walks from the batch roots. In the
@@ -11,63 +11,22 @@
 //                  (row extraction + masked column extraction, §4.2.3)
 // An L-layer model trains on the same induced adjacency at every layer, so
 // the epilogue emits A_s L times with rows == columns == V_s (consistent
-// with the frontier convention of sampler.hpp). The walk length is the
+// with the frontier convention of core/sample.hpp). The walk length is the
 // plan's explicit round count — independent of the model depth.
 #pragma once
 
-#include "common/workspace.hpp"
-#include "core/sampler.hpp"
-#include "plan/executor.hpp"
+#include <cstdint>
+
+#include "core/sample.hpp"
 
 namespace dms {
 
-struct GraphSaintConfig {
-  index_t walk_length = 2;   ///< steps per random walk
-  index_t model_layers = 1;  ///< how many (identical) layers to emit
-  std::uint64_t seed = 1;
-};
-
-/// MatrixSampler-interface adapter shared by the walk samplers (GraphSAINT,
-/// node2vec, and their partitioned forms): one unit fanout per model layer —
-/// the walk length is the plan's explicit round count, not a fanout.
+/// The SamplerConfig of the walk plans (GraphSAINT, node2vec): one unit
+/// fanout per model layer — the walk length is the plan's explicit round
+/// count, not a fanout. batches[i] holds the walk roots of minibatch i, and
+/// a sample's batch_vertices are the full induced vertex set V_s
+/// (GraphSAINT trains on every labeled vertex of the subgraph). Throws
+/// DmsError if model_layers < 1.
 SamplerConfig walk_adapter_config(index_t model_layers, std::uint64_t seed);
-
-class GraphSaintSampler : public MatrixSampler {
- public:
-  GraphSaintSampler(const Graph& graph, GraphSaintConfig config);
-
-  /// batches[i] holds the walk roots of minibatch i. The sample's
-  /// batch_vertices are the full induced vertex set V_s (GraphSAINT trains
-  /// on every labeled vertex of the subgraph).
-  std::vector<MinibatchSample> sample_bulk(
-      const std::vector<std::vector<index_t>>& batches,
-      const std::vector<index_t>& batch_ids,
-      std::uint64_t epoch_seed) const override;
-
-  const SamplerConfig& config() const override { return exec_.config(); }
-  std::map<std::string, double> op_time_breakdown() const override {
-    return exec_.op_seconds();
-  }
-  Workspace* scratch_workspace() const override { return &ws_; }
-  const GraphSaintConfig& saint_config() const { return config_; }
-
-  /// Fused walk-engine controls (forwarded to the executor; takes effect on
-  /// the next sample_bulk). set_walk_options({.fused = false}) forces the
-  /// op-by-op matrix path — bit-identical, used by tests and micro_walk.
-  void set_walk_options(const WalkEngineOptions& opts) {
-    exec_.set_walk_options(opts);
-  }
-  const PlanExecutor& executor() const { return exec_; }
-
-  /// The compiled plan (tests / docs).
-  const SamplePlan& plan() const { return exec_.plan(); }
-
- private:
-  const Graph& graph_;
-  GraphSaintConfig config_;
-  PlanExecutor exec_;
-  /// Scratch arena reused across walk steps/bulks/epochs (see graphsage.hpp).
-  mutable Workspace ws_;
-};
 
 }  // namespace dms

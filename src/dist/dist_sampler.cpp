@@ -2,9 +2,6 @@
 
 #include <algorithm>
 
-#include "core/fastgcn.hpp"  // fastgcn_importance_prefix (shared weights)
-#include "plan/builders.hpp"
-
 namespace dms {
 
 std::vector<BulkRound> plan_bulk_rounds(index_t steps_per_rank, index_t bulk_steps) {
@@ -18,148 +15,5 @@ std::vector<BulkRound> plan_bulk_rounds(index_t steps_per_rank, index_t bulk_ste
   }
   return rounds;
 }
-
-PartitionedSamplerBase::PartitionedSamplerBase(const Graph& graph,
-                                               const ProcessGrid& grid,
-                                               SamplerConfig config,
-                                               PartitionedSamplerOptions opts,
-                                               SamplePlan plan,
-                                               const std::string& name)
-    : graph_(graph),
-      grid_(grid),
-      opts_(opts),
-      dist_adj_(grid, graph.adjacency()),
-      exec_(lower_to_dist(plan), std::move(config)) {
-  check(!exec_.config().fanouts.empty(), name + ": fanouts must be non-empty");
-  for (const index_t f : exec_.config().fanouts) {
-    check(f > 0, name + ": fanouts must be positive");
-  }
-  if (exec_.plan().needs_global_weights) {
-    global_weights_ = fastgcn_importance_prefix(graph);
-  }
-}
-
-std::vector<std::vector<MinibatchSample>> PartitionedSamplerBase::sample_bulk(
-    Cluster& cluster, const std::vector<std::vector<index_t>>& batches,
-    const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const {
-  check(batches.size() == batch_ids.size(), "sample_bulk: ids/batches mismatch");
-  check(cluster.grid().rows() == grid_.rows() &&
-            cluster.grid().replication() == grid_.replication(),
-        "sample_bulk: cluster grid does not match the sampler's grid");
-  // Batches are block-assigned to *alive* process rows (a row is alive while
-  // any of its c replicas is). With no crashes this reproduces the balanced
-  // BlockPartition exactly; after a crash the dead rows get zero-width
-  // blocks and the survivors split the batches — sample content is
-  // unchanged either way, because randomness derives from global batch ids,
-  // never from the row assignment (the determinism contract).
-  const auto n = static_cast<index_t>(batches.size());
-  const index_t rows = grid_.rows();
-  std::vector<char> alive_row(static_cast<std::size_t>(rows), 1);
-  index_t num_alive_rows = rows;
-  if (cluster.has_faults()) {
-    num_alive_rows = 0;
-    for (index_t i = 0; i < rows; ++i) {
-      alive_row[static_cast<std::size_t>(i)] =
-          cluster.row_alive(static_cast<int>(i)) ? 1 : 0;
-      num_alive_rows += alive_row[static_cast<std::size_t>(i)];
-    }
-    check(num_alive_rows > 0 || n == 0,
-          "sample_bulk: every process row has crashed — nothing can sample");
-  }
-  std::vector<index_t> offsets(static_cast<std::size_t>(rows) + 1, 0);
-  index_t placed = 0, alive_seen = 0;
-  for (index_t i = 0; i < rows; ++i) {
-    index_t width = 0;
-    if (alive_row[static_cast<std::size_t>(i)] != 0 && num_alive_rows > 0) {
-      width = n / num_alive_rows + (alive_seen < n % num_alive_rows ? 1 : 0);
-      ++alive_seen;
-    }
-    placed += width;
-    offsets[static_cast<std::size_t>(i) + 1] = placed;
-  }
-  const BlockPartition assign = BlockPartition::from_offsets(std::move(offsets));
-  return exec_.run_partitioned(
-      cluster, dist_adj_, assign, batches, batch_ids, epoch_seed, &ws_,
-      opts_.local_spgemm, opts_.sparsity_aware,
-      global_weights_.empty() ? nullptr : &global_weights_);
-}
-
-std::vector<MinibatchSample> PartitionedSamplerBase::sample_bulk(
-    const std::vector<std::vector<index_t>>& batches,
-    const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const {
-  std::vector<std::vector<MinibatchSample>> per_row;
-  if (bound_cluster_ != nullptr) {
-    per_row = sample_bulk(*bound_cluster_, batches, batch_ids, epoch_seed);
-  } else {
-    Cluster ephemeral(grid_, CostModel(LinkParams{}));
-    per_row = sample_bulk(ephemeral, batches, batch_ids, epoch_seed);
-  }
-  std::vector<MinibatchSample> flat;
-  flat.reserve(batches.size());
-  for (auto& row : per_row) {
-    for (auto& ms : row) flat.push_back(std::move(ms));
-  }
-  return flat;
-}
-
-PartitionedSageSampler::PartitionedSageSampler(const Graph& graph,
-                                               const ProcessGrid& grid,
-                                               SamplerConfig config,
-                                               PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(graph, grid, std::move(config), opts,
-                             build_sage_plan(), "PartitionedSageSampler") {}
-
-PartitionedLadiesSampler::PartitionedLadiesSampler(const Graph& graph,
-                                                   const ProcessGrid& grid,
-                                                   SamplerConfig config,
-                                                   PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(graph, grid, std::move(config), opts,
-                             build_ladies_plan(), "PartitionedLadiesSampler") {}
-
-PartitionedFastGcnSampler::PartitionedFastGcnSampler(
-    const Graph& graph, const ProcessGrid& grid, SamplerConfig config,
-    PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(graph, grid, std::move(config), opts,
-                             build_fastgcn_plan(),
-                             "PartitionedFastGcnSampler") {}
-
-PartitionedLaborSampler::PartitionedLaborSampler(const Graph& graph,
-                                                 const ProcessGrid& grid,
-                                                 SamplerConfig config,
-                                                 PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(graph, grid, std::move(config), opts,
-                             build_labor_plan(), "PartitionedLaborSampler") {}
-
-PartitionedSaintSampler::PartitionedSaintSampler(const Graph& graph,
-                                                 const ProcessGrid& grid,
-                                                 GraphSaintConfig config,
-                                                 PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(
-          graph, grid, walk_adapter_config(config.model_layers, config.seed),
-          opts, build_saint_plan(config.walk_length, config.model_layers),
-          "PartitionedSaintSampler"),
-      saint_config_(config) {}
-
-PartitionedNode2VecSampler::PartitionedNode2VecSampler(
-    const Graph& graph, const ProcessGrid& grid, Node2VecConfig config,
-    PartitionedSamplerOptions opts)
-    : PartitionedSamplerBase(
-          graph, grid, walk_adapter_config(config.model_layers, config.seed),
-          opts,
-          build_node2vec_plan(config.walk_length, config.model_layers, config.p,
-                              config.q),
-          "PartitionedNode2VecSampler"),
-      n2v_config_(config) {}
-
-PartitionedPinSageSampler::PartitionedPinSageSampler(
-    const Graph& graph, const ProcessGrid& grid, SamplerConfig config,
-    PinSageConfig pcfg, PartitionedSamplerOptions opts)
-    // The holder base is initialized first, so the weighted graph exists
-    // before PartitionedSamplerBase partitions and borrows it.
-    : PinSageGraphHolder{pinsage_importance_graph(graph, pcfg)},
-      PartitionedSamplerBase(this->weighted, grid, std::move(config), opts,
-                             build_pinsage_plan(),
-                             "PartitionedPinSageSampler"),
-      pinsage_config_(pcfg) {}
 
 }  // namespace dms

@@ -1,36 +1,10 @@
-// Graph Partitioned plan samplers (§5.2): the adjacency is block-row
-// partitioned over a 1.5D process grid (it no longer needs to fit on one
-// device) and the sampler's *plan* (src/plan) runs through the partitioned
-// executor — every kSpgemm/kMaskedExtract op was rewritten by the
-// lower_to_dist pass to its 1.5D collective form (Algorithm 2's block-row
-// fetch/exchange + all-reduce), while row-local ops (NORM, ITS, thinning,
-// assembly) run per process row. There is no per-sampler distributed
-// sampling logic here: one lowering pass + one executor serve every
-// algorithm, which is why partitioned FastGCN and LABOR exist at all.
-//
-// Determinism contract: randomness is derived per (epoch, global batch id,
-// layer, local row), never from the rank layout, so a Graph Partitioned run
-// produces bit-identical minibatches to the single-node sampler of src/core
-// for every grid shape, chunk size, and sparsity mode. (All probability
-// values are exact small-integer arithmetic before normalization, so the
-// distributed reduction order cannot perturb them.) The dist tests sweep
-// grids to enforce this.
-//
-// Phase accounting matches Figure 7: every plan op records its
-// kPhaseProbability / kPhaseSampling / kPhaseExtraction compute and the
-// collectives their communication on the Cluster.
+// Bulk-round scheduling for distributed sampling. The Graph Partitioned
+// sampler itself is MatrixSampler with a process grid (core/sampler.hpp).
 #pragma once
 
-#include <string>
 #include <vector>
 
-#include "comm/cluster.hpp"
-#include "core/graphsaint.hpp"  // GraphSaintConfig / walk_adapter_config
-#include "core/node2vec.hpp"    // Node2VecConfig
-#include "core/pinsage.hpp"     // PinSageConfig / pinsage_importance_graph
-#include "core/sampler.hpp"
-#include "dist/spgemm_15d.hpp"
-#include "plan/executor.hpp"
+#include "common/types.hpp"
 
 namespace dms {
 
@@ -49,174 +23,5 @@ struct BulkRound {
 /// `bulk_steps` steps each (the last round may be short). bulk_steps <= 0
 /// yields one round covering the whole epoch ("k=all").
 std::vector<BulkRound> plan_bulk_rounds(index_t steps_per_rank, index_t bulk_steps);
-
-struct PartitionedSamplerOptions {
-  /// Use the sparsity-aware 1.5D SpGEMM variant (§5.2.1; Ballard et al.)
-  /// instead of broadcasting whole A block rows.
-  bool sparsity_aware = true;
-  /// Engine options threaded into the 1.5D SpGEMM's local panel multiplies
-  /// (Spgemm15dOptions::local). kAuto picks kernels per panel; all choices
-  /// are bit-identical, preserving the grid-shape equivalence contract.
-  SpgemmOptions local_spgemm;
-};
-
-/// A Graph Partitioned sampler: any SamplePlan, dist-lowered at
-/// construction and executed by the partitioned PlanExecutor. Handles
-/// batch-to-process-row assignment, the distributed adjacency, and the
-/// MatrixSampler conformance that lets the factory treat partitioned
-/// samplers uniformly. Historically this was an abstract base with
-/// per-algorithm subclasses; the plan IR made it concrete.
-class PartitionedSamplerBase : public MatrixSampler {
- public:
-  /// The graph must outlive the sampler (topology is borrowed; the
-  /// distributed block rows are materialized once at construction).
-  /// `plan` is the *unlowered* single-node plan — the constructor runs the
-  /// dist lowering pass. Plans needing bound global weights (FastGCN) get
-  /// them computed by `make_global_weights` below.
-  PartitionedSamplerBase(const Graph& graph, const ProcessGrid& grid,
-                         SamplerConfig config, PartitionedSamplerOptions opts,
-                         SamplePlan plan, const std::string& name);
-
-  /// Distributed bulk sampling. Minibatches are assigned to process rows in
-  /// contiguous blocks (BlockPartition of the batch list); the return value
-  /// holds each process row's samples, so concatenating the rows restores
-  /// global batch order. Phase times and communication volumes are recorded
-  /// on `cluster`, whose grid must match the grid this sampler was built for.
-  std::vector<std::vector<MinibatchSample>> sample_bulk(
-      Cluster& cluster, const std::vector<std::vector<index_t>>& batches,
-      const std::vector<index_t>& batch_ids, std::uint64_t epoch_seed) const;
-
-  /// MatrixSampler conformance: runs the distributed algorithm on the bound
-  /// cluster (see bind_cluster) or an ephemeral one, and flattens the
-  /// per-row results back to global batch order. By the determinism
-  /// contract the output equals the single-node sampler's.
-  std::vector<MinibatchSample> sample_bulk(
-      const std::vector<std::vector<index_t>>& batches,
-      const std::vector<index_t>& batch_ids,
-      std::uint64_t epoch_seed) const override;
-
-  const SamplerConfig& config() const override { return exec_.config(); }
-  std::map<std::string, double> op_time_breakdown() const override {
-    return exec_.op_seconds();
-  }
-  Workspace* scratch_workspace() const override { return &ws_; }
-  const ProcessGrid& grid() const { return grid_; }
-  const PartitionedSamplerOptions& options() const { return opts_; }
-
-  /// The dist-lowered plan this sampler executes (tests / docs).
-  const SamplePlan& plan() const { return exec_.plan(); }
-
-  /// The block-row distributed adjacency (per-rank memory accounting).
-  const DistBlockRowMatrix& dist_adjacency() const { return dist_adj_; }
-
-  /// Binds a long-lived cluster that the MatrixSampler-interface
-  /// sample_bulk records phases on (factory wiring). nullptr unbinds; an
-  /// ephemeral cluster of the sampler's grid is then used instead.
-  void bind_cluster(Cluster* cluster) { bound_cluster_ = cluster; }
-
- protected:
-  const Graph& graph_;
-  ProcessGrid grid_;
-  PartitionedSamplerOptions opts_;
-  DistBlockRowMatrix dist_adj_;
-  PlanExecutor exec_;
-  /// Bound ITS weights for kGlobalWeights plans (empty otherwise).
-  std::vector<value_t> global_weights_;
-  Cluster* bound_cluster_ = nullptr;
-  /// Scratch arena shared by every kernel this sampler drives — the 1.5D
-  /// SpGEMM's sequential local panel products, ITS, and the masked
-  /// extractions — and reused across layers/rounds/epochs. Serializes
-  /// sample_bulk per sampler instance (the pipeline is sequential).
-  mutable Workspace ws_;
-};
-
-/// Graph Partitioned GraphSAGE (§5.2): the dist-lowered build_sage_plan.
-class PartitionedSageSampler : public PartitionedSamplerBase {
- public:
-  PartitionedSageSampler(const Graph& graph, const ProcessGrid& grid,
-                         SamplerConfig config, PartitionedSamplerOptions opts = {});
-};
-
-/// Graph Partitioned LADIES (§5.2) — per the paper, the first fully
-/// distributed LADIES implementation: the dist-lowered build_ladies_plan.
-class PartitionedLadiesSampler : public PartitionedSamplerBase {
- public:
-  PartitionedLadiesSampler(const Graph& graph, const ProcessGrid& grid,
-                           SamplerConfig config,
-                           PartitionedSamplerOptions opts = {});
-};
-
-/// Graph Partitioned FastGCN: the dist-lowered build_fastgcn_plan. Its
-/// plan has no probability SpGEMM (the global importance is precomputed);
-/// sampling is row-local and only the masked extraction lowers to the
-/// 1.5D collective — a combination the hand-written dist samplers never
-/// supported.
-class PartitionedFastGcnSampler : public PartitionedSamplerBase {
- public:
-  PartitionedFastGcnSampler(const Graph& graph, const ProcessGrid& grid,
-                            SamplerConfig config,
-                            PartitionedSamplerOptions opts = {});
-};
-
-/// Graph Partitioned LABOR: the dist-lowered build_labor_plan — a sampler
-/// that ran in every execution mode on the day it was defined.
-class PartitionedLaborSampler : public PartitionedSamplerBase {
- public:
-  PartitionedLaborSampler(const Graph& graph, const ProcessGrid& grid,
-                          SamplerConfig config,
-                          PartitionedSamplerOptions opts = {});
-};
-
-/// Graph Partitioned GraphSAINT-RW: the dist-lowered build_saint_plan. The
-/// walk ops are row-local; the induced-subgraph epilogue assembles visited
-/// rows from their owner blocks (intra-column fetches, accounted).
-class PartitionedSaintSampler : public PartitionedSamplerBase {
- public:
-  PartitionedSaintSampler(const Graph& graph, const ProcessGrid& grid,
-                          GraphSaintConfig config,
-                          PartitionedSamplerOptions opts = {});
-
-  const GraphSaintConfig& saint_config() const { return saint_config_; }
-
- private:
-  GraphSaintConfig saint_config_;
-};
-
-/// Graph Partitioned node2vec: the dist-lowered build_node2vec_plan (the
-/// kWalkBias membership test fetches prev rows from their owner blocks).
-class PartitionedNode2VecSampler : public PartitionedSamplerBase {
- public:
-  PartitionedNode2VecSampler(const Graph& graph, const ProcessGrid& grid,
-                             Node2VecConfig config,
-                             PartitionedSamplerOptions opts = {});
-
-  const Node2VecConfig& node2vec_config() const { return n2v_config_; }
-
- private:
-  Node2VecConfig n2v_config_;
-};
-
-/// Owns the walk-derived importance graph so it is constructed before (and
-/// outlives) the PartitionedSamplerBase that borrows it.
-struct PinSageGraphHolder {
-  Graph weighted;
-};
-
-/// Graph Partitioned PinSAGE: the dist-lowered build_pinsage_plan over the
-/// walk-derived weighted adjacency (built once at construction, block-row
-/// partitioned like any other graph).
-class PartitionedPinSageSampler : private PinSageGraphHolder,
-                                  public PartitionedSamplerBase {
- public:
-  PartitionedPinSageSampler(const Graph& graph, const ProcessGrid& grid,
-                            SamplerConfig config, PinSageConfig pcfg = {},
-                            PartitionedSamplerOptions opts = {});
-
-  const PinSageConfig& pinsage_config() const { return pinsage_config_; }
-  const Graph& importance_graph() const { return weighted; }
-
- private:
-  PinSageConfig pinsage_config_;
-};
 
 }  // namespace dms

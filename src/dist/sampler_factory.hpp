@@ -1,29 +1,20 @@
 // Unified sampler construction: one factory surface over every sampling
 // algorithm (SamplerKind) × execution mode (DistMode) combination.
 //
-// Call sites — the training pipeline, benches, and examples — never name a
-// concrete sampler class; they ask the registry for (kind, mode) and get a
-// MatrixSampler. Partitioned samplers conform to the same interface (the
-// determinism contract makes a partitioned run substitutable for a
-// single-node one), and call sites that drive the distributed API directly
-// downcast through as_partitioned().
-//
-// The registry is extensible at runtime: a new algorithm or execution mode
-// registers a creator under its (kind, mode) key and every call site picks
-// it up without modification (the samgraph/fgnn-style uniform construction
-// surface).
+// Every combination is the one MatrixSampler class. make_sampler maps the
+// kind onto {plan builder, graph transform, walk-config mapping} in one
+// switch, applies the one fanout rule (validate_fanouts), and places the
+// sampler by mode: no grid for kReplicated, ctx.grid for kPartitioned, the
+// sampler sub-grid of the disaggregated layout for kDisaggregated. Call
+// sites — the training pipeline, benches, and examples — drive the
+// distributed API directly through MatrixSampler::sample_bulk(Cluster&, …).
 #pragma once
 
-#include <functional>
-#include <map>
 #include <memory>
 #include <string>
-#include <utility>
-#include <vector>
 
 #include "core/sampler.hpp"
 #include "dist/disagg.hpp"
-#include "dist/dist_sampler.hpp"
 
 namespace dms {
 
@@ -37,7 +28,7 @@ enum class SamplerKind {
   kPinSage,
 };
 /// kDisaggregated: sampler/trainer rank roles (DESIGN.md §14). The factory
-/// builds the algorithm's partitioned form over the *sampler sub-grid* of
+/// partitions the algorithm's sampler over the *sampler sub-grid* of
 /// make_disagg_layout(ctx.grid, ctx.disagg) — the dist lowering pass thereby
 /// places every plan op on the sampler ranks; the training pipeline runs the
 /// trainer role on the remaining ranks.
@@ -47,9 +38,10 @@ std::string to_string(SamplerKind kind);
 std::string to_string(DistMode mode);
 
 /// Walk-sampler parameters threaded through the factory. Only the walk
-/// kinds (kGraphSaint / kNode2Vec / kPinSage) read them; the walk samplers
-/// take their model depth from SamplerConfig::num_layers() and their seed
-/// from SamplerConfig::seed.
+/// kinds (kGraphSaint / kNode2Vec / kPinSage) read them. GraphSAINT and
+/// node2vec take their model depth from SamplerConfig::num_layers() and
+/// their seed from SamplerConfig::seed; the fanout values themselves are
+/// validated like every kind's but otherwise unused.
 struct WalkParams {
   index_t walk_length = 2;     ///< rounds per random walk
   value_t p = 1.0;             ///< node2vec return parameter
@@ -58,17 +50,17 @@ struct WalkParams {
   index_t pinsage_top = 8;     ///< importance neighbors kept per vertex
 };
 
-/// Everything a sampler creator may need beyond the graph.
+/// Everything make_sampler may need beyond the graph.
 struct SamplerContext {
   SamplerConfig config;
   /// Partitioned modes: the process grid to partition over (required). For
-  /// kDisaggregated this is the *full* cluster grid; the creator derives the
-  /// sampler sub-grid from it via make_disagg_layout(grid, disagg).
+  /// kDisaggregated this is the *full* cluster grid; make_sampler derives
+  /// the sampler sub-grid from it via make_disagg_layout(grid, disagg).
   const ProcessGrid* grid = nullptr;
   PartitionedSamplerOptions part_opts;
-  /// Optional long-lived cluster bound to partitioned samplers so their
-  /// MatrixSampler::sample_bulk records phases on it. Ignored by the
-  /// kDisaggregated creators (the bound cluster's grid must match the
+  /// Optional long-lived cluster bound to kPartitioned samplers so their
+  /// cluster-less sample_bulk records phases on it. Ignored in the other
+  /// modes (under kDisaggregated the bound cluster's grid must match the
   /// sampler's sub-grid — the pipeline binds its sampler-role sub-cluster
   /// after construction instead).
   Cluster* cluster = nullptr;
@@ -78,43 +70,9 @@ struct SamplerContext {
   DisaggOptions disagg;
 };
 
-using SamplerCreator = std::function<std::unique_ptr<MatrixSampler>(
-    const Graph& graph, const SamplerContext& ctx)>;
-
-/// Registry mapping (kind, mode) → creator, seeded with the built-in
-/// samplers — every SamplerKind in both modes, since the plan IR gives
-/// each algorithm its partitioned form through one lowering pass.
-class SamplerRegistry {
- public:
-  static SamplerRegistry& instance();
-
-  /// Registers (or replaces) the creator for a combination; returns the
-  /// previous creator so callers can restore it (empty if none). Passing an
-  /// empty creator unregisters the combination, so restoring an empty
-  /// previous creator round-trips.
-  SamplerCreator register_creator(SamplerKind kind, DistMode mode,
-                                  SamplerCreator creator);
-
-  /// Removes a combination (no-op if absent).
-  void unregister(SamplerKind kind, DistMode mode);
-
-  bool contains(SamplerKind kind, DistMode mode) const;
-
-  /// Registered combinations, deterministic order.
-  std::vector<std::pair<SamplerKind, DistMode>> registered() const;
-
-  /// Constructs a sampler; throws DmsError for unregistered combinations
-  /// (e.g. partitioned FastGCN) or a missing grid in partitioned modes.
-  std::unique_ptr<MatrixSampler> create(SamplerKind kind, DistMode mode,
-                                        const Graph& graph,
-                                        const SamplerContext& ctx) const;
-
- private:
-  SamplerRegistry();
-  std::map<std::pair<SamplerKind, DistMode>, SamplerCreator> creators_;
-};
-
-/// The single construction surface for every sampler in the system.
+/// The single construction surface for every sampler in the system. Throws
+/// DmsError for invalid fanouts (validate_fanouts) or a missing grid in the
+/// distributed modes.
 std::unique_ptr<MatrixSampler> make_sampler(SamplerKind kind, DistMode mode,
                                             const Graph& graph,
                                             const SamplerContext& ctx);
@@ -122,10 +80,5 @@ std::unique_ptr<MatrixSampler> make_sampler(SamplerKind kind, DistMode mode,
 /// Replicated (single-device) convenience overload.
 std::unique_ptr<MatrixSampler> make_sampler(SamplerKind kind, const Graph& graph,
                                             const SamplerConfig& config);
-
-/// Downcast for call sites that drive the distributed bulk API or need
-/// per-rank memory accounting; throws DmsError if `sampler` is not a
-/// partitioned sampler.
-PartitionedSamplerBase& as_partitioned(MatrixSampler& sampler);
 
 }  // namespace dms

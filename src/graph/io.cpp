@@ -124,6 +124,7 @@ Dataset load_dataset(const std::string& path) {
   const index_t frows = read_i64(is);
   const index_t fcols = read_i64(is);
   check(frows == ds.graph.num_vertices(), "load_dataset: feature row mismatch");
+  check(fcols >= 0, "load_dataset: negative feature column count");
   ds.features = DenseF(frows, fcols);
   is.read(reinterpret_cast<char*>(ds.features.data()),
           static_cast<std::streamsize>(ds.features.size() * sizeof(float)));
@@ -135,6 +136,16 @@ Dataset load_dataset(const std::string& path) {
   check(is.good(), "load_dataset: truncated file " + path);
   check(ds.labels.size() == static_cast<std::size_t>(ds.num_vertices()),
         "load_dataset: label count mismatch");
+  check(ds.num_classes >= 1, "load_dataset: num_classes must be >= 1");
+  for (const int y : ds.labels) {
+    check(y >= 0 && y < ds.num_classes, "load_dataset: label out of range");
+  }
+  const index_t n = ds.num_vertices();
+  for (const auto* split : {&ds.train_idx, &ds.val_idx, &ds.test_idx}) {
+    for (const index_t v : *split) {
+      check(v >= 0 && v < n, "load_dataset: split vertex id out of range");
+    }
+  }
   return ds;
 }
 

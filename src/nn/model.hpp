@@ -5,7 +5,7 @@
 #include <cstdint>
 #include <vector>
 
-#include "core/sampler.hpp"
+#include "core/sample.hpp"
 #include "nn/loss.hpp"
 #include "nn/optimizer.hpp"
 #include "nn/sage_layer.hpp"

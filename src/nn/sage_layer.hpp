@@ -4,7 +4,7 @@
 //   Z = ReLU( H_self · W_self  +  mean_agg(A_s, H_in) · W_neigh  +  bias )
 //
 // H_in holds embeddings for the layer's frontier (column space of the
-// sampled adjacency A_s). By the frontier convention (core/sampler.hpp) the
+// sampled adjacency A_s). By the frontier convention (core/sample.hpp) the
 // first R frontier entries are the output ("self") vertices, so
 // H_self = H_in[0:R). mean_agg row-normalizes A_s and multiplies (SpMM).
 #pragma once

@@ -20,7 +20,7 @@
 
 #include "comm/cluster.hpp"
 #include "common/workspace.hpp"
-#include "core/sampler.hpp"
+#include "core/sample.hpp"
 #include "dist/spgemm_15d.hpp"
 #include "graph/graph.hpp"
 #include "graph/partition.hpp"

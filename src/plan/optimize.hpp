@@ -42,7 +42,7 @@
 #include <string>
 #include <unordered_map>
 
-#include "core/sampler.hpp"  // SamplerConfig
+#include "core/sample.hpp"  // SamplerConfig
 #include "plan/plan.hpp"
 
 namespace dms {

@@ -77,7 +77,7 @@ enum class PlanOpKind {
   kMaskedExtract,
   /// EXTRACT + frontier advance: assembles one LayerSample per batch and
   /// replaces the frontier with the new column space (rows lead, see
-  /// sampler.hpp). kNeighborRows renumbers sampled Q rows (GraphSAGE
+  /// core/sample.hpp). kNeighborRows renumbers sampled Q rows (GraphSAGE
   /// §4.1.3); kSampledSets unions rows ∪ sampled over a masked-extraction
   /// result (LADIES / FastGCN).
   kFrontierUnion,

@@ -32,9 +32,6 @@ ServeEngine::ServeEngine(const Graph& graph, FeatureStore& features,
   const std::uint64_t hits_before = PlanCache::global().stats().hits;
   sampler_ = make_sampler(cfg_.sampler, cfg_.mode, graph, ctx);
   plan_cache_hit_ = PlanCache::global().stats().hits > hits_before;
-  check(sampler_->scratch_workspace() != nullptr,
-        "ServeEngine: sampler exposes no scratch arena (steady-state serving "
-        "requires a plan-backed sampler)");
 }
 
 ServeBatchResult ServeEngine::serve(const CoalescedBatch& batch) {

@@ -79,18 +79,15 @@ Pipeline::Pipeline(Cluster& cluster, const Dataset& dataset, PipelineConfig conf
   ctx.grid = &cluster_.grid();
   ctx.part_opts = cfg_.part_opts;
   // The staged executor drives the cluster-explicit distributed API itself;
-  // the binding only ensures that any generic MatrixSampler use of sampler_
+  // the binding only ensures that any cluster-less sample_bulk of sampler_
   // records its phases on this pipeline's clock rather than an ephemeral one.
   ctx.cluster = &cluster_;
   ctx.disagg = cfg_.disagg;
   sampler_ = make_sampler(cfg_.sampler, cfg_.mode, ds_.graph, ctx);
-  if (cfg_.mode != DistMode::kReplicated) {
-    partitioned_ = &as_partitioned(*sampler_);
-  }
   if (cfg_.mode == DistMode::kDisaggregated) {
     disagg_cluster_ =
         std::make_unique<Cluster>(disagg_.sampler_grid, cluster_.cost_model());
-    partitioned_->bind_cluster(disagg_cluster_.get());
+    sampler_->bind_cluster(disagg_cluster_.get());
   }
   optimizer_ = cfg_.use_adam
                    ? std::unique_ptr<Optimizer>(std::make_unique<Adam>(cfg_.lr))
@@ -247,7 +244,7 @@ std::size_t Pipeline::per_rank_bytes(int rank) const {
     // asymmetry the mode exists to exploit (freed adjacency memory funds a
     // higher trainer replication factor or a larger cache).
     if (rank < disagg_.samplers) {
-      return partitioned_->dist_adjacency().block_bytes(
+      return sampler_->dist_adjacency().block_bytes(
           disagg_.sampler_grid.row_of(rank));
     }
     const int local = rank - disagg_.samplers;
@@ -259,8 +256,8 @@ std::size_t Pipeline::per_rank_bytes(int rank) const {
   std::size_t bytes = model_.param_bytes();
   bytes += features_.block_bytes(grid.row_of(rank));
   bytes += features_.cache_bytes();
-  if (partitioned_ != nullptr) {
-    bytes += partitioned_->dist_adjacency().block_bytes(grid.row_of(rank));
+  if (sampler_->partitioned()) {
+    bytes += sampler_->dist_adjacency().block_bytes(grid.row_of(rank));
   } else {
     bytes += ds_.graph.adjacency().bytes();
   }

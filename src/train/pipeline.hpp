@@ -195,12 +195,9 @@ class Pipeline {
   DisaggLayout disagg_;
   FeatureStore features_;
   /// Constructed through make_sampler (the factory is the only construction
-  /// path for samplers in the pipeline).
+  /// path for samplers in the pipeline). Partitioned when mode !=
+  /// kReplicated (the disaggregated sampler over the sampler sub-grid).
   std::unique_ptr<MatrixSampler> sampler_;
-  /// Non-owning distributed view of sampler_ when mode != kReplicated (the
-  /// disaggregated sampler *is* the algorithm's partitioned form over the
-  /// sampler sub-grid).
-  PartitionedSamplerBase* partitioned_ = nullptr;
   /// Sampler-role sub-cluster (mode == kDisaggregated): sampling phases
   /// accumulate here and drain into cluster_ every bulk round, so one clock
   /// covers both roles. Same CostModel; the sampler sub-grid's local ranks

@@ -408,8 +408,7 @@ double StagedPipeline::partitioned_round(const BulkRound& round,
   }
   if (sub_batches.empty()) return 0.0;
 
-  auto per_row = p_.partitioned_->sample_bulk(cluster, sub_batches, sub_ids,
-                                              epoch_seed);
+  auto per_row = p_.sampler_->sample_bulk(cluster, sub_batches, sub_ids, epoch_seed);
   cluster.add_overhead(kPhaseSampling, launch * kKernelsPerLayer * num_layers);
 
   // Concatenating the per-row results restores sub-batch order; place each
@@ -454,8 +453,7 @@ double StagedPipeline::disaggregated_round(const BulkRound& round,
   // Sampler role: the partitioned algorithm runs over the sampler sub-grid
   // and records on the sub-cluster, whose tables then drain raw into the
   // main clock — one clock covers both roles.
-  auto per_row = p_.partitioned_->sample_bulk(sub, sub_batches, sub_ids,
-                                              epoch_seed);
+  auto per_row = p_.sampler_->sample_bulk(sub, sub_batches, sub_ids, epoch_seed);
   sub.drain_into(cluster);
   cluster.add_overhead(kPhaseSampling, launch * kKernelsPerLayer * num_layers);
 

@@ -87,8 +87,11 @@ TEST(QuiverSim, UvaModeIsSlowerPerEpoch) {
 
   // Neutralize measured host-compute noise so the comparison isolates the
   // modeled transfer costs (PCIe vs NVLink), which is what Figure 5 shows.
+  // Both scales: QuiverSim bills its sampling as irregular compute, so
+  // leaving irregular_compute_scale at 1 would leak host timing into it.
   LinkParams link;
   link.compute_scale = 1e9;
+  link.irregular_compute_scale = 1e9;
 
   Cluster c_gpu(ProcessGrid(4, 1), CostModel(link));
   QuiverSim gpu(c_gpu, ds, cfg);

@@ -8,7 +8,7 @@
 
 #include "comm/cluster.hpp"
 #include "comm/faults.hpp"
-#include "dist/dist_sampler.hpp"
+#include "core/sampler.hpp"
 #include "dist/spgemm_15d.hpp"
 #include "graph/dataset.hpp"
 #include "sparse/ops.hpp"
@@ -288,8 +288,7 @@ TEST(PartitionedSampler, SamplesAreBitIdenticalUnderRankDeath) {
 
     const auto sampler_h = make(kind);
     Cluster healthy(grid, CostModel(LinkParams{}));
-    const auto ref = as_partitioned(*sampler_h)
-                         .sample_bulk(healthy, batches, ids, 0xabc);
+    const auto ref = sampler_h->sample_bulk(healthy, batches, ids, 0xabc);
 
     FaultPlanConfig cfg;
     cfg.crashes = {{1, 0}};
@@ -298,8 +297,7 @@ TEST(PartitionedSampler, SamplesAreBitIdenticalUnderRankDeath) {
     Cluster faulty(grid, CostModel(LinkParams{}));
     faulty.install_faults(&plan);
     faulty.begin_superstep();
-    const auto got = as_partitioned(*sampler_f)
-                         .sample_bulk(faulty, batches, ids, 0xabc);
+    const auto got = sampler_f->sample_bulk(faulty, batches, ids, 0xabc);
 
     // Flatten both (the per-row split differs — dead rows take no batches —
     // but the concatenation preserves sub-batch order either way).

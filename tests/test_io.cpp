@@ -1,6 +1,7 @@
 // Binary serialization round trips for matrices and datasets.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
@@ -78,6 +79,67 @@ TEST_F(IoTest, DatasetRoundTrip) {
   EXPECT_EQ(loaded.train_idx, ds.train_idx);
   EXPECT_EQ(loaded.val_idx, ds.val_idx);
   EXPECT_EQ(loaded.test_idx, ds.test_idx);
+}
+
+TEST_F(IoTest, LoadDatasetRejectsMalformedFields) {
+  // Each case saves a small dataset with one field corrupted; loading must
+  // reject it at the boundary instead of handing out-of-range ids onward.
+  const Dataset good = make_planted_dataset(64, 4, 8, 6.0, 0.8, 5);
+  const index_t n = good.num_vertices();
+  ASSERT_FALSE(good.train_idx.empty());
+  ASSERT_FALSE(good.val_idx.empty());
+  ASSERT_FALSE(good.test_idx.empty());
+  const auto expect_rejected = [&](const Dataset& bad, const std::string& what) {
+    const std::string path = track(temp_path("bad_" + what + ".bin"));
+    save_dataset(bad, path);
+    EXPECT_THROW(load_dataset(path), DmsError) << what;
+  };
+  Dataset d = good;
+  d.num_classes = 0;
+  expect_rejected(d, "num_classes");
+  d = good;
+  d.labels[3] = d.num_classes;
+  expect_rejected(d, "label_high");
+  d = good;
+  d.labels[0] = -1;
+  expect_rejected(d, "label_negative");
+  d = good;
+  d.train_idx[0] = n;
+  expect_rejected(d, "train_idx");
+  d = good;
+  d.val_idx.back() = -1;
+  expect_rejected(d, "val_idx");
+  d = good;
+  d.test_idx[0] = n + 7;
+  expect_rejected(d, "test_idx");
+}
+
+TEST_F(IoTest, LoadDatasetRejectsNegativeFeatureColumns) {
+  const Dataset ds = make_planted_dataset(64, 4, 8, 6.0, 0.8, 6);
+  const std::string path = track(temp_path("bad_fcols.bin"));
+  save_dataset(ds, path);
+  // The feature column count sits right before the fields that trail it:
+  // feature data, labels, num_classes, and the three splits.
+  const auto vec_bytes = [](const auto& v) {
+    return sizeof(std::int64_t) + v.size() * sizeof(v[0]);
+  };
+  const std::size_t trailing =
+      static_cast<std::size_t>(ds.features.size()) * sizeof(float) +
+      vec_bytes(ds.labels) + sizeof(std::uint32_t) + vec_bytes(ds.train_idx) +
+      vec_bytes(ds.val_idx) + vec_bytes(ds.test_idx);
+  const auto offset = static_cast<std::streamoff>(
+      std::filesystem::file_size(path) - trailing - sizeof(std::int64_t));
+  {
+    std::fstream fs(path, std::ios::binary | std::ios::in | std::ios::out);
+    fs.seekg(offset);
+    std::int64_t cols = 0;
+    fs.read(reinterpret_cast<char*>(&cols), sizeof(cols));
+    ASSERT_EQ(cols, ds.feature_dim());
+    cols = -3;
+    fs.seekp(offset);
+    fs.write(reinterpret_cast<const char*>(&cols), sizeof(cols));
+  }
+  EXPECT_THROW(load_dataset(path), DmsError);
 }
 
 TEST_F(IoTest, MatrixMarketExportIsParseable) {

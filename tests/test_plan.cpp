@@ -4,11 +4,8 @@
 // and the per-op accounting surface.
 #include <gtest/gtest.h>
 
-#include "core/fastgcn.hpp"
-#include "core/graphsage.hpp"
 #include "core/graphsaint.hpp"
-#include "core/labor.hpp"
-#include "core/ladies.hpp"
+#include "core/sampler.hpp"
 #include "dist/sampler_factory.hpp"
 #include "graph/generators.hpp"
 #include "plan/builders.hpp"
@@ -77,7 +74,7 @@ constexpr std::uint64_t kGoldenSaint = 11175461533758532319ULL;
 
 TEST(PlanGolden, SageBitIdenticalToPreRefactorSampler) {
   const Graph g = golden_graph();
-  GraphSageSampler s(g, kGoldenConfig);
+  MatrixSampler s(g, build_sage_plan(), kGoldenConfig);
   EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
                                        kGoldenIds, kGoldenEpoch)),
             kGoldenSage);
@@ -85,7 +82,7 @@ TEST(PlanGolden, SageBitIdenticalToPreRefactorSampler) {
 
 TEST(PlanGolden, LadiesBitIdenticalToPreRefactorSampler) {
   const Graph g = golden_graph();
-  LadiesSampler s(g, kGoldenConfig);
+  MatrixSampler s(g, build_ladies_plan(), kGoldenConfig);
   EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
                                        kGoldenIds, kGoldenEpoch)),
             kGoldenLadies);
@@ -93,7 +90,7 @@ TEST(PlanGolden, LadiesBitIdenticalToPreRefactorSampler) {
 
 TEST(PlanGolden, FastGcnBitIdenticalToPreRefactorSampler) {
   const Graph g = golden_graph();
-  FastGcnSampler s(g, kGoldenConfig);
+  MatrixSampler s(g, build_fastgcn_plan(), kGoldenConfig);
   EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
                                        kGoldenIds, kGoldenEpoch)),
             kGoldenFastGcn);
@@ -101,10 +98,8 @@ TEST(PlanGolden, FastGcnBitIdenticalToPreRefactorSampler) {
 
 TEST(PlanGolden, SaintBitIdenticalToPreRefactorSampler) {
   const Graph g = golden_graph();
-  GraphSaintConfig cfg;
-  cfg.walk_length = 3;
-  cfg.model_layers = 2;
-  GraphSaintSampler s(g, cfg);
+  MatrixSampler s(g, build_saint_plan(/*walk_length=*/3, /*model_layers=*/2),
+                  walk_adapter_config(2, /*seed=*/1));
   EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
                                        kGoldenIds, kGoldenEpoch)),
             kGoldenSaint);
@@ -343,13 +338,11 @@ TEST(PlanLowering, SaintLowersAndPartitionedMatchesGolden) {
   const SamplePlan lowered = lower_to_dist(build_saint_plan(3, 2));
   EXPECT_TRUE(lowered.distributed);
   const Graph g = golden_graph();
-  GraphSaintConfig cfg;
-  cfg.walk_length = 3;
-  cfg.model_layers = 2;
   for (const auto& [p, c] :
        std::vector<std::pair<int, int>>{{2, 1}, {4, 2}}) {
     const ProcessGrid grid(p, c);
-    PartitionedSaintSampler s(g, grid, cfg);
+    MatrixSampler s(g, build_saint_plan(3, 2), walk_adapter_config(2, /*seed=*/1),
+                    &grid);
     EXPECT_EQ(hash_samples(s.sample_bulk(golden_batches(g.num_vertices()),
                                          kGoldenIds, kGoldenEpoch)),
               kGoldenSaint)
@@ -365,7 +358,7 @@ TEST(PlanLowering, AlreadyLoweredRejected) {
 
 TEST(PlanAccounting, OpBreakdownCoversEveryBodyOp) {
   const Graph g = generate_erdos_renyi(150, 8.0, 61);
-  GraphSageSampler s(g, kGoldenConfig);
+  MatrixSampler s(g, build_sage_plan(), kGoldenConfig);
   EXPECT_TRUE(s.op_time_breakdown().empty());
   s.sample_bulk(golden_batches(g.num_vertices()), kGoldenIds, 3);
   const auto breakdown = s.op_time_breakdown();
@@ -379,7 +372,7 @@ TEST(PlanAccounting, OpBreakdownCoversEveryBodyOp) {
 TEST(PlanAccounting, PartitionedClusterPhasesStillRecorded) {
   const Graph g = generate_erdos_renyi(150, 8.0, 62);
   Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));
-  PartitionedLaborSampler s(g, cluster.grid(), kGoldenConfig);
+  MatrixSampler s(g, build_labor_plan(), kGoldenConfig, &cluster.grid());
   s.sample_bulk(cluster, golden_batches(g.num_vertices()), kGoldenIds, 3);
   EXPECT_GT(cluster.phase_time(kPhaseProbability), 0.0);
   EXPECT_GT(cluster.phase_time(kPhaseSampling), 0.0);

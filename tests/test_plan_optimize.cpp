@@ -5,8 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "core/fastgcn.hpp"
-#include "core/graphsage.hpp"
-#include "core/ladies.hpp"
+#include "core/sampler.hpp"
 #include "graph/generators.hpp"
 #include "plan/builders.hpp"
 #include "plan/executor.hpp"
@@ -226,18 +225,18 @@ TEST(PlanOptimize, OptimizedPlansBitIdenticalPartitioned) {
 TEST(PlanOptimize, PlanCacheSharesOneOptimizedPlan) {
   PlanCache::global().clear();
   const Graph g = generate_erdos_renyi(120, 6.0, 7);
-  GraphSageSampler s1(g, kConfig);
+  MatrixSampler s1(g, build_sage_plan(), kConfig);
   const auto after_first = PlanCache::global().stats();
   EXPECT_EQ(after_first.hits, 0u);
   EXPECT_EQ(after_first.entries, 1u);
-  GraphSageSampler s2(g, kConfig);
+  MatrixSampler s2(g, build_sage_plan(), kConfig);
   const auto after_second = PlanCache::global().stats();
   EXPECT_EQ(after_second.hits, 1u);
   EXPECT_EQ(after_second.entries, 1u);
   // Not just an equal plan — the same object.
   EXPECT_EQ(&s1.plan(), &s2.plan());
   // Different fanouts are a different key (round counts change sampling).
-  GraphSageSampler s3(g, SamplerConfig{{2, 2}, 9});
+  MatrixSampler s3(g, build_sage_plan(), SamplerConfig{{2, 2}, 9});
   EXPECT_EQ(PlanCache::global().stats().entries, 2u);
   EXPECT_NE(&s1.plan(), &s3.plan());
 }

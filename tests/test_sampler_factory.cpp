@@ -1,12 +1,10 @@
-// Unified sampler factory: every registered (SamplerKind, DistMode)
-// combination constructs and samples through the common MatrixSampler
-// interface, seeding is deterministic, unregistered combinations are
-// rejected, and the registry is runtime-extensible.
+// Unified sampler factory: every (SamplerKind, DistMode) combination
+// constructs and samples through the one MatrixSampler class, rejects the
+// same invalid fanouts, seeds deterministically, and is placed by its mode.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 
-#include "core/fastgcn.hpp"
 #include "dist/sampler_factory.hpp"
 #include "graph/generators.hpp"
 #include "test_util.hpp"
@@ -41,32 +39,47 @@ bool samples_equal(const MinibatchSample& a, const MinibatchSample& b) {
   return true;
 }
 
-TEST(SamplerFactory, EveryRegisteredCombinationConstructsAndSamples) {
+TEST(SamplerFactory, EveryCombinationConstructsAndSamples) {
   const Graph g = test_graph();
   const ProcessGrid grid(4, 2);
   const std::vector<index_t> batch = {0, 1, 2, 3};
-  for (const auto& [kind, mode] : SamplerRegistry::instance().registered()) {
-    SamplerContext ctx = make_context(&grid);
-    const auto sampler = make_sampler(kind, mode, g, ctx);
-    ASSERT_NE(sampler, nullptr) << to_string(kind) << "/" << to_string(mode);
-    const MinibatchSample ms = sampler->sample_one(batch, 0, /*epoch_seed=*/11);
-    if (is_walk_kind(kind)) {
-      // Walk samplers run unit-fanout model layers over the walk-induced
-      // vertex set; the batch roots are always part of that set.
-      EXPECT_EQ(sampler->config().fanouts,
-                std::vector<index_t>(ctx.config.fanouts.size(), 1));
-      for (const index_t root : batch) {
-        EXPECT_TRUE(std::binary_search(ms.batch_vertices.begin(),
-                                       ms.batch_vertices.end(), root))
-            << to_string(kind) << "/" << to_string(mode) << " root " << root;
+  for (const SamplerKind kind : testutil::kAllSamplerKinds) {
+    for (const DistMode mode : testutil::kAllDistModes) {
+      SamplerContext ctx = make_context(&grid);
+      const auto sampler = make_sampler(kind, mode, g, ctx);
+      ASSERT_NE(sampler, nullptr) << to_string(kind) << "/" << to_string(mode);
+      const MinibatchSample ms = sampler->sample_one(batch, 0, /*epoch_seed=*/11);
+      if (is_walk_kind(kind)) {
+        // Walk samplers run unit-fanout model layers over the walk-induced
+        // vertex set; the batch roots are always part of that set.
+        EXPECT_EQ(sampler->config().fanouts,
+                  std::vector<index_t>(ctx.config.fanouts.size(), 1));
+        for (const index_t root : batch) {
+          EXPECT_TRUE(std::binary_search(ms.batch_vertices.begin(),
+                                         ms.batch_vertices.end(), root))
+              << to_string(kind) << "/" << to_string(mode) << " root " << root;
+        }
+      } else {
+        EXPECT_EQ(sampler->config().fanouts, ctx.config.fanouts);
+        EXPECT_EQ(ms.batch_vertices, batch);
       }
-    } else {
-      EXPECT_EQ(sampler->config().fanouts, ctx.config.fanouts);
-      EXPECT_EQ(ms.batch_vertices, batch);
+      EXPECT_EQ(ms.layers.size(), ctx.config.fanouts.size())
+          << to_string(kind) << "/" << to_string(mode);
+      EXPECT_FALSE(ms.input_vertices().empty());
+
+      // One fanout rule for every kind and mode: non-empty, every entry
+      // >= 1 — rejected at construction, never at sample time. The walk
+      // kinds read only the count, but the same rule applies to them.
+      for (const std::vector<index_t>& bad :
+           {std::vector<index_t>{}, std::vector<index_t>{0, 2},
+            std::vector<index_t>{-3}}) {
+        SamplerContext bad_ctx = make_context(&grid);
+        bad_ctx.config.fanouts = bad;
+        EXPECT_THROW(make_sampler(kind, mode, g, bad_ctx), DmsError)
+            << to_string(kind) << "/" << to_string(mode) << " fanouts of size "
+            << bad.size();
+      }
     }
-    EXPECT_EQ(ms.layers.size(), ctx.config.fanouts.size())
-        << to_string(kind) << "/" << to_string(mode);
-    EXPECT_FALSE(ms.input_vertices().empty());
   }
 }
 
@@ -75,25 +88,27 @@ TEST(SamplerFactory, SeedDeterminismPerCombination) {
   const ProcessGrid grid(4, 2);
   const std::vector<std::vector<index_t>> batches = {{0, 1, 2, 3}, {4, 5, 6, 7}};
   const std::vector<index_t> ids = {0, 1};
-  for (const auto& [kind, mode] : SamplerRegistry::instance().registered()) {
-    const SamplerContext ctx = make_context(&grid);
-    // Two samplers with identical SamplerConfig (incl. seed) sample
-    // bit-identically; a different epoch seed changes the samples.
-    const auto s1 = make_sampler(kind, mode, g, ctx);
-    const auto s2 = make_sampler(kind, mode, g, ctx);
-    const auto r1 = s1->sample_bulk(batches, ids, /*epoch_seed=*/21);
-    const auto r2 = s2->sample_bulk(batches, ids, /*epoch_seed=*/21);
-    ASSERT_EQ(r1.size(), r2.size());
-    for (std::size_t i = 0; i < r1.size(); ++i) {
-      EXPECT_TRUE(samples_equal(r1[i], r2[i]))
-          << to_string(kind) << "/" << to_string(mode) << " batch " << i;
+  for (const SamplerKind kind : testutil::kAllSamplerKinds) {
+    for (const DistMode mode : testutil::kAllDistModes) {
+      const SamplerContext ctx = make_context(&grid);
+      // Two samplers with identical SamplerConfig (incl. seed) sample
+      // bit-identically; a different epoch seed changes the samples.
+      const auto s1 = make_sampler(kind, mode, g, ctx);
+      const auto s2 = make_sampler(kind, mode, g, ctx);
+      const auto r1 = s1->sample_bulk(batches, ids, /*epoch_seed=*/21);
+      const auto r2 = s2->sample_bulk(batches, ids, /*epoch_seed=*/21);
+      ASSERT_EQ(r1.size(), r2.size());
+      for (std::size_t i = 0; i < r1.size(); ++i) {
+        EXPECT_TRUE(samples_equal(r1[i], r2[i]))
+            << to_string(kind) << "/" << to_string(mode) << " batch " << i;
+      }
+      const auto r3 = s1->sample_bulk(batches, ids, /*epoch_seed=*/22);
+      bool any_differs = false;
+      for (std::size_t i = 0; i < r1.size(); ++i) {
+        if (!samples_equal(r1[i], r3[i])) any_differs = true;
+      }
+      EXPECT_TRUE(any_differs) << to_string(kind) << "/" << to_string(mode);
     }
-    const auto r3 = s1->sample_bulk(batches, ids, /*epoch_seed=*/22);
-    bool any_differs = false;
-    for (std::size_t i = 0; i < r1.size(); ++i) {
-      if (!samples_equal(r1[i], r3[i])) any_differs = true;
-    }
-    EXPECT_TRUE(any_differs) << to_string(kind) << "/" << to_string(mode);
   }
 }
 
@@ -103,10 +118,7 @@ TEST(SamplerFactory, PartitionedMatchesReplicatedThroughCommonInterface) {
   const ProcessGrid grid(8, 2);
   const std::vector<std::vector<index_t>> batches = {{0, 1, 2}, {3, 4, 5}, {6, 7, 8}};
   const std::vector<index_t> ids = {0, 1, 2};
-  for (const SamplerKind kind :
-       {SamplerKind::kGraphSage, SamplerKind::kLadies, SamplerKind::kFastGcn,
-        SamplerKind::kLabor, SamplerKind::kGraphSaint, SamplerKind::kNode2Vec,
-        SamplerKind::kPinSage}) {
+  for (const SamplerKind kind : testutil::kAllSamplerKinds) {
     SamplerContext ctx = make_context(&grid);
     const auto rep = make_sampler(kind, DistMode::kReplicated, g, ctx);
     const auto part = make_sampler(kind, DistMode::kPartitioned, g, ctx);
@@ -119,36 +131,27 @@ TEST(SamplerFactory, PartitionedMatchesReplicatedThroughCommonInterface) {
   }
 }
 
-TEST(SamplerFactory, EveryKindRegisteredInBothModes) {
-  // The plan IR closed the historical gaps (partitioned FastGCN, LABOR):
-  // every algorithm × execution mode is constructible, including the walk
-  // kinds added with the walk engine.
-  for (const SamplerKind kind :
-       {SamplerKind::kGraphSage, SamplerKind::kLadies, SamplerKind::kFastGcn,
-        SamplerKind::kLabor, SamplerKind::kGraphSaint, SamplerKind::kNode2Vec,
-        SamplerKind::kPinSage}) {
-    for (const DistMode mode : {DistMode::kReplicated, DistMode::kPartitioned}) {
-      EXPECT_TRUE(SamplerRegistry::instance().contains(kind, mode))
-          << to_string(kind) << "/" << to_string(mode);
-    }
-  }
-}
-
-TEST(SamplerFactory, UnregisteredCombinationThrows) {
+TEST(SamplerFactory, EveryKindIsPlacedByMode) {
+  // Every algorithm × execution mode is constructible, and the mode alone
+  // decides placement: replicated has no grid; partitioned uses ctx.grid;
+  // disaggregated uses the sampler sub-grid of the disaggregated layout.
   const Graph g = test_graph();
   const ProcessGrid grid(4, 2);
-  SamplerContext ctx = make_context(&grid);
-  auto& registry = SamplerRegistry::instance();
-  // Vacate a slot to observe the unregistered behavior, then restore it.
-  auto previous = registry.register_creator(SamplerKind::kLabor,
-                                            DistMode::kPartitioned, {});
-  ASSERT_TRUE(previous != nullptr);
-  EXPECT_FALSE(registry.contains(SamplerKind::kLabor, DistMode::kPartitioned));
-  EXPECT_THROW(
-      make_sampler(SamplerKind::kLabor, DistMode::kPartitioned, g, ctx), DmsError);
-  registry.register_creator(SamplerKind::kLabor, DistMode::kPartitioned,
-                            std::move(previous));
-  EXPECT_TRUE(registry.contains(SamplerKind::kLabor, DistMode::kPartitioned));
+  const DisaggLayout layout = make_disagg_layout(grid);
+  const SamplerContext ctx = make_context(&grid);
+  for (const SamplerKind kind : testutil::kAllSamplerKinds) {
+    EXPECT_FALSE(make_sampler(kind, DistMode::kReplicated, g, ctx)->partitioned())
+        << to_string(kind);
+    const auto part = make_sampler(kind, DistMode::kPartitioned, g, ctx);
+    ASSERT_TRUE(part->partitioned()) << to_string(kind);
+    EXPECT_EQ(part->grid().size(), grid.size()) << to_string(kind);
+    EXPECT_TRUE(part->plan().distributed) << to_string(kind);
+    const auto dis = make_sampler(kind, DistMode::kDisaggregated, g, ctx);
+    ASSERT_TRUE(dis->partitioned()) << to_string(kind);
+    EXPECT_EQ(dis->grid().size(), layout.sampler_grid.size()) << to_string(kind);
+    EXPECT_EQ(dis->grid().replication(), layout.sampler_grid.replication())
+        << to_string(kind);
+  }
 }
 
 TEST(SamplerFactory, PartitionedModeRequiresGrid) {
@@ -158,43 +161,18 @@ TEST(SamplerFactory, PartitionedModeRequiresGrid) {
       make_sampler(SamplerKind::kGraphSage, DistMode::kPartitioned, g, ctx), DmsError);
 }
 
-TEST(SamplerFactory, RegistryIsRuntimeExtensible) {
+TEST(SamplerFactory, ClusterSampleBulkRejectsReplicatedSamplers) {
   const Graph g = test_graph();
-  const ProcessGrid grid(4, 2);
-  SamplerContext ctx = make_context(&grid);
-  auto& registry = SamplerRegistry::instance();
-  // Override an occupied slot with a stand-in creator; the previous creator
-  // comes back so the override can be reverted.
-  auto previous = registry.register_creator(
-      SamplerKind::kFastGcn, DistMode::kPartitioned,
-      [](const Graph& graph, const SamplerContext& c) {
-        return std::make_unique<FastGcnSampler>(graph, c.config);
-      });
-  EXPECT_TRUE(previous != nullptr);
-  const auto sampler =
-      make_sampler(SamplerKind::kFastGcn, DistMode::kPartitioned, g, ctx);
-  EXPECT_EQ(sampler->sample_one({0, 1}, 0, 5).layers.size(), 2u);
-  // The stand-in is a replicated FastGCN, so the downcast must now fail...
-  EXPECT_THROW(as_partitioned(*sampler), DmsError);
-  // ...and restoring the previous creator brings the partitioned form back.
-  registry.register_creator(SamplerKind::kFastGcn, DistMode::kPartitioned,
-                            std::move(previous));
-  const auto restored =
-      make_sampler(SamplerKind::kFastGcn, DistMode::kPartitioned, g, ctx);
-  EXPECT_NO_THROW(as_partitioned(*restored));
-}
-
-TEST(SamplerFactory, AsPartitionedRejectsReplicatedSamplers) {
-  const Graph g = test_graph();
+  Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));
   const auto rep = make_sampler(SamplerKind::kGraphSage, g, {{4}, 1});
-  EXPECT_THROW(as_partitioned(*rep), DmsError);
-  const ProcessGrid grid(4, 2);
-  SamplerContext ctx = make_context(&grid);
+  EXPECT_THROW(rep->sample_bulk(cluster, {{0, 1}}, {0}, 5), DmsError);
+  SamplerContext ctx = make_context(&cluster.grid());
   auto part = make_sampler(SamplerKind::kGraphSage, DistMode::kPartitioned, g, ctx);
-  const PartitionedSamplerBase& pb = as_partitioned(*part);
-  EXPECT_EQ(pb.grid().rows(), 2);
-  EXPECT_EQ(pb.grid().replication(), 2);
-  EXPECT_EQ(pb.dist_adjacency().rows(), g.num_vertices());
+  EXPECT_EQ(part->grid().rows(), 2);
+  EXPECT_EQ(part->grid().replication(), 2);
+  EXPECT_EQ(part->dist_adjacency().rows(), g.num_vertices());
+  EXPECT_EQ(part->sample_bulk(cluster, {{0, 1}}, {0}, 5).size(),
+            static_cast<std::size_t>(cluster.grid().rows()));
 }
 
 TEST(SamplerFactory, BoundClusterReceivesPhaseAccounting) {

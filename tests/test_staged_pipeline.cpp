@@ -1,5 +1,5 @@
 // Determinism/accounting harness for the staged overlapped executor
-// (DESIGN.md §6): for every registered SamplerKind × DistMode the
+// (DESIGN.md §6): for every SamplerKind × DistMode the
 // overlapped and synchronous paths must produce bit-identical per-epoch
 // loss/accuracy (overlap changes only the simulated clock), caching must
 // never change training, the cache accounting must cover every requested
@@ -41,22 +41,24 @@ std::vector<EpochStats> run_epochs(const Dataset& ds, PipelineConfig cfg,
 
 TEST(StagedPipeline, OverlapMatchesSyncBitIdenticallyForEveryKindAndMode) {
   const Dataset ds = small_planted();
-  for (const auto& [kind, mode] : SamplerRegistry::instance().registered()) {
-    PipelineConfig cfg = config_for(kind, mode);
-    cfg.overlap = false;
-    const auto sync = run_epochs(ds, cfg, 2);
-    cfg.overlap = true;
-    const auto ovl = run_epochs(ds, cfg, 2);
-    ASSERT_EQ(sync.size(), ovl.size());
-    for (std::size_t e = 0; e < sync.size(); ++e) {
-      const std::string ctx = to_string(kind) + "/" + to_string(mode) +
-                              " epoch " + std::to_string(e);
-      EXPECT_EQ(sync[e].loss, ovl[e].loss) << ctx;
-      EXPECT_EQ(sync[e].train_acc, ovl[e].train_acc) << ctx;
-      EXPECT_EQ(sync[e].overlap_saved, 0.0) << ctx;
-      EXPECT_EQ(sync[e].stall, 0.0) << ctx;
-      testutil::expect_epoch_stats_consistent(sync[e]);
-      testutil::expect_epoch_stats_consistent(ovl[e]);
+  for (const SamplerKind kind : testutil::kAllSamplerKinds) {
+    for (const DistMode mode : testutil::kAllDistModes) {
+      PipelineConfig cfg = config_for(kind, mode);
+      cfg.overlap = false;
+      const auto sync = run_epochs(ds, cfg, 2);
+      cfg.overlap = true;
+      const auto ovl = run_epochs(ds, cfg, 2);
+      ASSERT_EQ(sync.size(), ovl.size());
+      for (std::size_t e = 0; e < sync.size(); ++e) {
+        const std::string ctx = to_string(kind) + "/" + to_string(mode) +
+                                " epoch " + std::to_string(e);
+        EXPECT_EQ(sync[e].loss, ovl[e].loss) << ctx;
+        EXPECT_EQ(sync[e].train_acc, ovl[e].train_acc) << ctx;
+        EXPECT_EQ(sync[e].overlap_saved, 0.0) << ctx;
+        EXPECT_EQ(sync[e].stall, 0.0) << ctx;
+        testutil::expect_epoch_stats_consistent(sync[e]);
+        testutil::expect_epoch_stats_consistent(ovl[e]);
+      }
     }
   }
 }
@@ -98,19 +100,21 @@ TEST(StagedPipeline, CachePoliciesDoNotChangeLosses) {
 
 TEST(StagedPipeline, CacheAccountingExactlyCoversRequestedRows) {
   const Dataset ds = small_planted();
-  for (const auto& [kind, mode] : SamplerRegistry::instance().registered()) {
-    PipelineConfig cfg = config_for(kind, mode);
-    cfg.feature_cache = {CachePolicy::kLru, 32};
-    Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));
-    Pipeline pipe(cluster, ds, cfg);
-    const EpochStats s = pipe.run_epoch(0);
-    const FeatureCacheStats& total = pipe.features().cache_stats();
-    // Every requested row is classified exactly once (hit, miss or local) —
-    // both in the cumulative store accounting and the per-epoch stats.
-    EXPECT_EQ(total.requested, total.hits + total.misses + total.local)
-        << to_string(kind) << "/" << to_string(mode);
-    EXPECT_EQ(total.requested, s.cache_hits + s.cache_misses + s.cache_local);
-    EXPECT_GT(total.requested, 0u);
+  for (const SamplerKind kind : testutil::kAllSamplerKinds) {
+    for (const DistMode mode : testutil::kAllDistModes) {
+      PipelineConfig cfg = config_for(kind, mode);
+      cfg.feature_cache = {CachePolicy::kLru, 32};
+      Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));
+      Pipeline pipe(cluster, ds, cfg);
+      const EpochStats s = pipe.run_epoch(0);
+      const FeatureCacheStats& total = pipe.features().cache_stats();
+      // Every requested row is classified exactly once (hit, miss or local)
+      // — both in the cumulative store accounting and the per-epoch stats.
+      EXPECT_EQ(total.requested, total.hits + total.misses + total.local)
+          << to_string(kind) << "/" << to_string(mode);
+      EXPECT_EQ(total.requested, s.cache_hits + s.cache_misses + s.cache_local);
+      EXPECT_GT(total.requested, 0u);
+    }
   }
 }
 

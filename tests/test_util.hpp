@@ -1,5 +1,6 @@
 // Shared helpers for the test suite: random sparse matrices, dense
-// reference implementations, and the EpochStats accounting invariants.
+// reference implementations, the sampler kind/mode sweep, and the
+// EpochStats accounting invariants.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -11,6 +12,15 @@
 #include "train/pipeline.hpp"
 
 namespace dms::testutil {
+
+/// Every sampling algorithm and execution mode, for tests that sweep the
+/// whole make_sampler surface.
+inline const std::vector<SamplerKind> kAllSamplerKinds = {
+    SamplerKind::kGraphSage,  SamplerKind::kLadies,   SamplerKind::kFastGcn,
+    SamplerKind::kLabor,      SamplerKind::kGraphSaint, SamplerKind::kNode2Vec,
+    SamplerKind::kPinSage};
+inline const std::vector<DistMode> kAllDistModes = {
+    DistMode::kReplicated, DistMode::kPartitioned, DistMode::kDisaggregated};
 
 /// Checks the clock-composition invariants every epoch must satisfy
 /// (DESIGN.md §6): all phases non-negative; the total is the max-composition
