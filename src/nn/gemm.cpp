@@ -11,13 +11,17 @@
 // blocked kernels are bit-identical to the scalar references and to each
 // other. The build sets -ffp-contract=off so no compiler may fuse a*b+c
 // into an FMA (which rounds once instead of twice and would change bits
-// between ISAs).
+// between ISAs). matmul_nt packs Bᵀ once and runs the nn tile kernel: the
+// vector lanes span output columns, never k, so each element's dot product
+// still ascends in k exactly as the serial nt reference does.
 //
-// The references skip a==0.0f contributions (cheap for ReLU-sparse
-// activations); the vector tiles add them. This cannot change bits either:
-// accumulators start at +0.0f, and x + (±0) == x for every x reachable here
-// except x == -0.0f, which no accumulation chain can produce (the first
-// nonzero contribution makes x nonzero, and (+0) + (−0) == +0).
+// The nn/tn references skip a==0.0f contributions (cheap for ReLU-sparse
+// activations); the vector tiles and the nt reference add them. For finite
+// operands this cannot change bits: accumulators start at +0.0f, and
+// x + (±0) == x for every x reachable here except x == -0.0f, which no
+// accumulation chain can produce (the first nonzero contribution makes x
+// nonzero, and (+0) + (−0) == +0). With a non-finite B entry, 0·inf is NaN,
+// so the paths may differ there (the non-finite contract in gemm.hpp).
 
 namespace dms {
 
@@ -64,14 +68,14 @@ void tn_scalar(const float* a, index_t lda, const float* b, index_t ldb,
   }
 }
 
-/// c[0..m)[j0..j1) = a·bᵀ: serial dot products, k ascending.
+/// c = a·bᵀ: serial dot products, k ascending (matmul_nt_reference only;
+/// the blocked matmul_nt runs the nn tiles on a packed bᵀ).
 void nt_scalar(const float* a, index_t lda, const float* b, index_t ldb,
-               float* c, index_t ldc, index_t m, index_t k, index_t j0,
-               index_t j1) {
+               float* c, index_t ldc, index_t m, index_t k, index_t n) {
   for (index_t i = 0; i < m; ++i) {
     float* crow = c + i * ldc;
     const float* arow = a + i * lda;
-    for (index_t j = j0; j < j1; ++j) {
+    for (index_t j = 0; j < n; ++j) {
       const float* brow = b + j * ldb;
       float s = 0.0f;
       for (index_t kk = 0; kk < k; ++kk) s += arow[kk] * brow[kk];
@@ -210,35 +214,6 @@ const TileKernels& tile_kernels() {
   return k;
 }
 
-/// A·Bᵀ register tile: dot products stay serial over k (the reference
-/// order), so no vector accumulation is possible — the win is register
-/// reuse: each k step loads MR + NR scalars for MR·NR multiply-adds.
-template <int MR, int NR>
-void nt_tile(const float* a, index_t lda, const float* b, index_t ldb, float* c,
-             index_t ldc, index_t m, index_t k, index_t n) {
-  index_t i0 = 0;
-  for (; i0 + MR <= m; i0 += MR) {
-    index_t j0 = 0;
-    for (; j0 + NR <= n; j0 += NR) {
-      float acc[MR][NR] = {};
-      const float* ar[MR];
-      const float* br[NR];
-      for (int mi = 0; mi < MR; ++mi) ar[mi] = a + (i0 + mi) * lda;
-      for (int nj = 0; nj < NR; ++nj) br[nj] = b + (j0 + nj) * ldb;
-      for (index_t kk = 0; kk < k; ++kk) {
-        for (int mi = 0; mi < MR; ++mi) {
-          const float av = ar[mi][kk];
-          for (int nj = 0; nj < NR; ++nj) acc[mi][nj] += av * br[nj][kk];
-        }
-      }
-      for (int mi = 0; mi < MR; ++mi)
-        for (int nj = 0; nj < NR; ++nj) c[(i0 + mi) * ldc + j0 + nj] = acc[mi][nj];
-    }
-    if (j0 < n) nt_scalar(a + i0 * lda, lda, b, ldb, c + i0 * ldc, ldc, MR, k, j0, n);
-  }
-  if (i0 < m) nt_scalar(a + i0 * lda, lda, b, ldb, c + i0 * ldc, ldc, m - i0, k, 0, n);
-}
-
 /// Runs panel_fn over fixed kPanelRows row panels of the m output rows,
 /// in parallel when there is more than one panel.
 template <typename Fn>
@@ -303,13 +278,25 @@ DenseF matmul_tn(const DenseF& a, const DenseF& b) {
 
 DenseF matmul_nt(const DenseF& a, const DenseF& b) {
   check(a.cols() == b.cols(), "matmul_nt: inner dimension mismatch");
-  DenseF c(a.rows(), b.rows());
+  // Pack Bᵀ (O(k·n), against the product's O(m·k·n)) and reuse the nn tile
+  // kernel: c[i][j] = Σ_kk a[i][kk]·bᵀ[kk][j], k ascending — the nt order.
+  // The pack runs in square blocks: a plain column walk strides by a power
+  // of two at the usual widths and thrashes a handful of L1 sets.
+  constexpr index_t kPackBlock = 16;
   const index_t k = a.cols();
   const index_t n = b.rows();
-  for_panels(a.rows(), [&](index_t r0, index_t r1) {
-    nt_tile<4, 4>(a.row(r0), k, b.data(), k, c.row(r0), n, r1 - r0, k, n);
-  });
-  return c;
+  DenseF bt(k, n);
+  for (index_t j0 = 0; j0 < n; j0 += kPackBlock) {
+    const index_t j1 = std::min(n, j0 + kPackBlock);
+    for (index_t k0 = 0; k0 < k; k0 += kPackBlock) {
+      const index_t k1 = std::min(k, k0 + kPackBlock);
+      for (index_t j = j0; j < j1; ++j) {
+        const float* brow = b.row(j);
+        for (index_t kk = k0; kk < k1; ++kk) bt.row(kk)[j] = brow[kk];
+      }
+    }
+  }
+  return matmul(a, bt);
 }
 
 DenseF matmul_reference(const DenseF& a, const DenseF& b) {
@@ -332,7 +319,7 @@ DenseF matmul_nt_reference(const DenseF& a, const DenseF& b) {
   check(a.cols() == b.cols(), "matmul_nt_reference: inner dimension mismatch");
   DenseF c(a.rows(), b.rows());
   nt_scalar(a.data(), a.cols(), b.data(), b.cols(), c.data(), b.rows(),
-            a.rows(), a.cols(), 0, b.rows());
+            a.rows(), a.cols(), b.rows());
   return c;
 }
 

@@ -7,7 +7,9 @@
 // accumulators live in vector registers across the whole k loop. The k loop
 // is strictly serial and ascending for every output element, so the blocked
 // kernels are bit-identical to the scalar reference kernels below and to
-// each other across tile shapes, instruction sets, and thread counts.
+// each other across tile shapes, instruction sets, and thread counts, for
+// finite operands (the non-finite contract is stated below the kernels).
+// matmul_nt packs Bᵀ once and runs the same nn tile kernel as matmul.
 // On x86-64 the tile microkernel is dispatched at runtime (AVX-512 → AVX2 →
 // scalar reference); elsewhere the reference kernels run as-is.
 //
@@ -28,12 +30,28 @@ DenseF matmul(const DenseF& a, const DenseF& b);
 /// C = Aᵀ·B, A (k×m), B (k×n) → (m×n). Used for weight gradients.
 DenseF matmul_tn(const DenseF& a, const DenseF& b);
 
-/// C = A·Bᵀ, A (m×k), B (n×k) → (m×n). Used for input gradients.
+/// C = A·Bᵀ, A (m×k), B (n×k) → (m×n). Used for input gradients. Packs Bᵀ
+/// (k×n) and runs matmul's vector tile kernel; k still ascends for every
+/// output element, so the bits are those of matmul_nt_reference.
 DenseF matmul_nt(const DenseF& a, const DenseF& b);
 
 /// Scalar serial reference kernels (the pre-blocking implementations).
-/// The blocked kernels above are bit-identical to these by construction;
-/// tests and bench/micro_gemm pin that contract down and measure the gap.
+/// The blocked kernels above are bit-identical to these by construction
+/// when every operand is finite; tests and bench/micro_gemm pin that
+/// contract down and measure the gap.
+///
+/// Non-finite contract. With NaN or inf operands the paths may differ bit
+/// for bit: the vector tiles add 0·x, while the scalar remainders and the
+/// nn/tn references skip a == 0 (and the nt reference adds every term), so
+/// a zero A entry facing an inf B entry gives NaN in some paths and nothing
+/// in others. What every path (blocked or reference) guarantees, stated on
+/// the logical product C = X·Y (X = A, or Aᵀ for tn; Y = B, or Bᵀ for nt):
+///  - a NaN or inf anywhere in row i of X makes every output in row i
+///    non-finite;
+///  - a NaN or inf at Y[k][j] makes C[i][j] non-finite for every row i
+///    with X[i][k] != 0.
+/// Training treats a non-finite loss as fatal: StagedPipeline::train_step
+/// throws before that step's optimizer update.
 DenseF matmul_reference(const DenseF& a, const DenseF& b);
 DenseF matmul_tn_reference(const DenseF& a, const DenseF& b);
 DenseF matmul_nt_reference(const DenseF& a, const DenseF& b);

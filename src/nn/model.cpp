@@ -41,9 +41,10 @@ void SageModel::backward(const MinibatchSample& sample, const DenseF& dlogits,
                          const std::vector<SageLayerCache>& caches) {
   check(caches.size() == layers_.size(), "SageModel::backward: cache mismatch");
   (void)sample;
+  // Layer 0's input is raw features, which take no gradient.
   DenseF d = dlogits;
   for (std::size_t m = layers_.size(); m-- > 0;) {
-    d = layers_[m].backward(d, caches[m]);
+    d = layers_[m].backward(d, caches[m], /*need_dh_in=*/m > 0);
   }
 }
 

@@ -31,7 +31,7 @@ class SageModel {
                  std::vector<SageLayerCache>* caches) const;
 
   /// Backpropagates dlogits through the cached activations, accumulating
-  /// parameter gradients.
+  /// parameter gradients (the input features' gradient is never formed).
   void backward(const MinibatchSample& sample, const DenseF& dlogits,
                 const std::vector<SageLayerCache>& caches);
 

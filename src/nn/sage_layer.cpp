@@ -66,7 +66,8 @@ DenseF SageLayer::forward(const CsrMatrix& adj, const DenseF& h_in, bool relu,
   return z;
 }
 
-DenseF SageLayer::backward(const DenseF& d_out, const SageLayerCache& cache) {
+DenseF SageLayer::backward(const DenseF& d_out, const SageLayerCache& cache,
+                           bool need_dh_in) {
   DenseF dz = d_out;
   if (cache.relu) relu_backward_inplace(dz, cache.out);
 
@@ -80,6 +81,7 @@ DenseF SageLayer::backward(const DenseF& d_out, const SageLayerCache& cache) {
   axpy(g_w_self_, matmul_tn(h_self, dz), 1.0f);
   axpy(g_w_neigh_, matmul_tn(cache.h_neigh, dz), 1.0f);
   axpy(g_bias_, column_sums(dz), 1.0f);
+  if (!need_dh_in) return DenseF();
 
   // Input gradient: self path into the leading rows, neighbor path through
   // the transposed aggregation.

@@ -35,8 +35,12 @@ class SageLayer {
                  SageLayerCache* cache) const;
 
   /// d_out: gradient w.r.t. this layer's output. Accumulates parameter
-  /// gradients and returns the gradient w.r.t. h_in (frontier × in_dim).
-  DenseF backward(const DenseF& d_out, const SageLayerCache& cache);
+  /// gradients. With need_dh_in, returns the gradient w.r.t. h_in
+  /// (frontier × in_dim); without it (the first layer, whose input is raw
+  /// features) skips that work and returns an empty matrix. The parameter
+  /// gradients are the same bits either way.
+  DenseF backward(const DenseF& d_out, const SageLayerCache& cache,
+                  bool need_dh_in);
 
   index_t in_dim() const { return w_self_.rows(); }
   index_t out_dim() const { return w_self_.cols(); }

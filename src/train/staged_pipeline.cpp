@@ -1,7 +1,9 @@
 #include "train/staged_pipeline.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <numeric>
+#include <string>
 
 #include "common/rng.hpp"
 #include "common/timer.hpp"
@@ -262,7 +264,7 @@ EpochStats StagedPipeline::run_range(int epoch, index_t end_round,
     double prev_prop = -1.0;  // <0: no propagation yet in this round
     for (index_t t = rounds_[g].step_begin; t < rounds_[g].step_end; ++t) {
       const double f_cost = fetch_step(t, gathered);
-      const double p_cost = train_step(t, gathered);
+      const double p_cost = train_step(epoch, g, t, gathered);
       if (cfg.overlap) {
         // The fetch for step t is issued during the propagation of step
         // t-1; the round's first fetch has no propagation to hide under.
@@ -541,7 +543,8 @@ double StagedPipeline::fetch_step(index_t t, std::vector<DenseF>& gathered) {
   return clock() - before;
 }
 
-double StagedPipeline::train_step(index_t t, const std::vector<DenseF>& gathered) {
+double StagedPipeline::train_step(int epoch, std::size_t g, index_t t,
+                                  const std::vector<DenseF>& gathered) {
   Cluster& cluster = p_.cluster_;
   const double before = clock();
   const int p = cluster.size();
@@ -573,6 +576,15 @@ double StagedPipeline::train_step(index_t t, const std::vector<DenseF>& gathered
           timer.seconds();
     } else {
       max_prop = std::max(max_prop, timer.seconds());
+    }
+    if (!std::isfinite(res.loss)) {
+      // Fatal: the GEMM paths agree bit for bit only on finite operands
+      // (nn/gemm.hpp), and the optimizer would spread it into every weight.
+      throw DmsError("StagedPipeline: non-finite loss " +
+                     std::to_string(res.loss) + " at epoch " +
+                     std::to_string(epoch) + ", bulk round " +
+                     std::to_string(g) + ", step " + std::to_string(t) +
+                     ", rank " + std::to_string(r));
     }
     loss_sum_ += res.loss * static_cast<double>(labels.size());
     correct_ += res.correct;

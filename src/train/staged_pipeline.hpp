@@ -85,9 +85,12 @@ class StagedPipeline {
   /// Issues the feature fetch for step t; returns the simulated seconds.
   double fetch_step(index_t t, std::vector<DenseF>& gathered);
 
-  /// Propagation + optimizer for step t (accumulates loss/accuracy and
-  /// releases the trained samples); returns the simulated seconds.
-  double train_step(index_t t, const std::vector<DenseF>& gathered);
+  /// Propagation + optimizer for step t of bulk round g (accumulates
+  /// loss/accuracy and releases the trained samples); returns the simulated
+  /// seconds. Throws DmsError, naming epoch, round, step and rank, when a
+  /// rank's loss is not finite.
+  double train_step(int epoch, std::size_t g, index_t t,
+                    const std::vector<DenseF>& gathered);
 
   /// Uncredited simulated clock (compute + comm), for per-stage deltas.
   double clock() const;

@@ -7,6 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -84,6 +87,80 @@ TEST(GemmKernels, DegenerateShapes) {
   EXPECT_EQ(c.cols(), 7);
   for (std::size_t i = 0; i < c.size(); ++i) EXPECT_EQ(c.data()[i], 0.0f);
   EXPECT_THROW(matmul(random_dense(2, 3, 5), random_dense(4, 2, 6)), DmsError);
+}
+
+DenseF transposed(const DenseF& a) {
+  DenseF t(a.cols(), a.rows());
+  for (index_t i = 0; i < a.rows(); ++i) {
+    for (index_t j = 0; j < a.cols(); ++j) t(j, i) = a(i, j);
+  }
+  return t;
+}
+
+// The non-finite contract (nn/gemm.hpp). With NaN/inf operands the paths
+// may disagree bit for bit, but each must poison row i of the logical
+// product C = X·Y when row i of X holds a non-finite value, and C[i][j]
+// when Y[k][j] is non-finite and X[i][k] != 0; outputs that meet no
+// non-finite operand stay finite. The shapes straddle the MR=4/8 row tiles
+// and the 16-column vector tiles, so the planted values reach both the
+// tiles and the scalar remainders.
+TEST(GemmKernels, NonFiniteOperandsPoisonTheirRowsAndColumns) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  struct Op {
+    const char* name;
+    DenseF (*fn)(const DenseF&, const DenseF&);
+    bool ta, tb;  ///< operand passed as Xᵀ / Yᵀ
+  };
+  const Op ops[] = {
+      {"matmul", matmul, false, false},
+      {"matmul_reference", matmul_reference, false, false},
+      {"matmul_tn", matmul_tn, true, false},
+      {"matmul_tn_reference", matmul_tn_reference, true, false},
+      {"matmul_nt", matmul_nt, false, true},
+      {"matmul_nt_reference", matmul_nt_reference, false, true},
+  };
+  for (const index_t m : {3, 8, 13, 70}) {
+    for (const index_t n : {5, 16, 21, 40}) {
+      const index_t k = (m + n) % 11 + 3;
+      DenseF x = random_dense(m, k, 7000 + m * 5 + n, 0.3);
+      DenseF y = random_dense(k, n, 8000 + m + n * 3);
+      x(m / 2, k / 2) = nan;
+      x(m - 1, 0) = -inf;
+      y(1, n - 1) = inf;  // the column remainder unless 16 divides n
+      y(k - 1, 0) = nan;  // inside the first column tile
+      x(0, 1) = 0.0f;     // a zero facing a non-finite Y entry: unspecified
+      x(1, k - 1) = 0.5f;
+      const DenseF xt = transposed(x);
+      const DenseF yt = transposed(y);
+      for (const Op& op : ops) {
+        const DenseF c = op.fn(op.ta ? xt : x, op.tb ? yt : y);
+        ASSERT_EQ(c.rows(), m);
+        ASSERT_EQ(c.cols(), n);
+        for (index_t i = 0; i < m; ++i) {
+          bool row_bad = false;
+          for (index_t kk = 0; kk < k; ++kk) row_bad |= !std::isfinite(x(i, kk));
+          for (index_t j = 0; j < n; ++j) {
+            bool col_bad = false;  // some non-finite Y[kk][j]
+            bool poisoned = row_bad;
+            for (index_t kk = 0; kk < k; ++kk) {
+              if (std::isfinite(y(kk, j))) continue;
+              col_bad = true;
+              poisoned |= x(i, kk) != 0.0f;
+            }
+            const std::string ctx = std::string(op.name) + " m=" + std::to_string(m) +
+                                    " n=" + std::to_string(n) + " at (" +
+                                    std::to_string(i) + "," + std::to_string(j) + ")";
+            if (poisoned) {
+              EXPECT_FALSE(std::isfinite(c(i, j))) << ctx;
+            } else if (!row_bad && !col_bad) {
+              EXPECT_TRUE(std::isfinite(c(i, j))) << ctx;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 TEST(GemmKernels, EpiloguesBitIdenticalToSerial) {

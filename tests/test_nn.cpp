@@ -56,7 +56,8 @@ TEST(Gemm, TransposedVariantsAgree) {
   for (index_t i = 0; i < 8; ++i) {
     for (index_t j = 0; j < 5; ++j) yt(j, i) = y(i, j);
   }
-  EXPECT_LT(DenseF::max_abs_diff(matmul_nt(x, y), matmul(x, yt)), 1e-5);
+  // matmul_nt packs yᵀ and runs matmul's kernel: the same bits exactly.
+  EXPECT_TRUE(matmul_nt(x, y) == matmul(x, yt));
 }
 
 TEST(Gemm, ReluAndBackward) {
@@ -156,6 +157,64 @@ TEST(ModelGradcheck, MatchesFiniteDifferences) {
   }
   // 6 tensors, ≤5 elements each (biases are shorter): 27 comparisons.
   EXPECT_GE(checked, 25);
+}
+
+// SageModel::backward does not form layer 0's input gradient; skipping
+// dh_in must leave every parameter gradient bit-identical. The reference
+// requests dh_in at every layer of a 3-layer model; the model's own
+// train_step skips it at the first layer, and a backward that stops at the
+// middle layer skips it there.
+TEST(SageLayer, SkippingInputGradientLeavesParameterGradientsIdentical) {
+  const Graph g = generate_erdos_renyi(64, 8.0, 54);
+  MatrixSampler sampler(g, build_sage_plan(), {{4, 3, 2}, 1});
+  const MinibatchSample sample = sampler.sample_one({5, 6, 7, 8}, 0, 3);
+  ModelConfig mc;
+  mc.in_dim = 6;
+  mc.hidden = 8;
+  mc.num_classes = 4;
+  mc.num_layers = 3;
+  SageModel model(mc);
+  const DenseF h = random_densef(
+      static_cast<index_t>(sample.input_vertices().size()), 6, 15);
+  const std::vector<int> labels = {0, 1, 2, 3};
+  auto& layers = model.layers();
+  auto grads_of = [&](std::size_t m) {
+    return std::vector<DenseF>{layers[m].grad_w_self(), layers[m].grad_w_neigh(),
+                               layers[m].grad_bias()};
+  };
+
+  std::vector<SageLayerCache> caches;
+  const LossResult res =
+      softmax_cross_entropy(model.forward(sample, h, &caches), labels);
+  model.zero_grads();
+  DenseF d = res.dlogits;
+  for (std::size_t m = layers.size(); m-- > 0;) {
+    d = layers[m].backward(d, caches[m], /*need_dh_in=*/true);
+  }
+  EXPECT_EQ(d.rows(), static_cast<index_t>(sample.input_vertices().size()));
+  std::vector<std::vector<DenseF>> reference;
+  for (std::size_t m = 0; m < layers.size(); ++m) reference.push_back(grads_of(m));
+
+  model.zero_grads();
+  model.train_step(sample, h, labels);  // skips dh_in at layer 0
+  for (std::size_t m = 0; m < layers.size(); ++m) {
+    const auto got = grads_of(m);
+    for (std::size_t p = 0; p < got.size(); ++p) {
+      EXPECT_TRUE(got[p] == reference[m][p]) << "layer " << m << " param " << p;
+    }
+  }
+
+  model.zero_grads();
+  d = res.dlogits;
+  d = layers[2].backward(d, caches[2], /*need_dh_in=*/true);
+  d = layers[1].backward(d, caches[1], /*need_dh_in=*/false);
+  EXPECT_EQ(d.size(), 0u);
+  for (const std::size_t m : {std::size_t{1}, std::size_t{2}}) {
+    const auto got = grads_of(m);
+    for (std::size_t p = 0; p < got.size(); ++p) {
+      EXPECT_TRUE(got[p] == reference[m][p]) << "layer " << m << " param " << p;
+    }
+  }
 }
 
 TEST(Optimizer, SgdDescendsQuadratic) {

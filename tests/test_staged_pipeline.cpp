@@ -3,8 +3,12 @@
 // overlapped and synchronous paths must produce bit-identical per-epoch
 // loss/accuracy (overlap changes only the simulated clock), caching must
 // never change training, the cache accounting must cover every requested
-// feature row exactly once, and the EpochStats clock invariants must hold.
+// feature row exactly once, the EpochStats clock invariants must hold, and
+// a non-finite loss must stop the epoch naming where it arose.
 #include <gtest/gtest.h>
+
+#include <limits>
+#include <string>
 
 #include "graph/dataset.hpp"
 #include "test_util.hpp"
@@ -148,6 +152,28 @@ TEST(StagedPipeline, OverlapHidesPrefetchableTime) {
   EXPECT_GT(s_ovl.overlap_saved, 0.0);
   EXPECT_LT(s_ovl.total, s_sync.total);
   testutil::expect_epoch_stats_consistent(s_ovl);
+}
+
+TEST(StagedPipeline, NonFiniteLossFailsFastNamingThePosition) {
+  // A NaN in the classifier's bias reaches every logit row of every rank,
+  // so the very first rank step must stop the epoch before the optimizer
+  // spreads it.
+  const Dataset ds = small_planted();
+  Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));
+  Pipeline pipe(cluster, ds,
+                config_for(SamplerKind::kGraphSage, DistMode::kReplicated));
+  pipe.model().layers().back().bias()(0, 0) =
+      std::numeric_limits<float>::quiet_NaN();
+  try {
+    pipe.run_epoch(0);
+    FAIL() << "a NaN loss trained on";
+  } catch (const DmsError& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("non-finite loss"), std::string::npos) << what;
+    EXPECT_NE(what.find("epoch 0, bulk round 0, step 0, rank 0"),
+              std::string::npos)
+        << what;
+  }
 }
 
 }  // namespace
