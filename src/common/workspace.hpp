@@ -26,6 +26,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -90,6 +91,8 @@ struct WorkspaceSlot {
   std::vector<value_t> hash_vals;
   // Byte flags (ITS `chosen` scratch).
   std::vector<char> flags;
+  // Column bitmap (the 1.5D partial-product fold's presence marks).
+  std::vector<std::uint64_t> bits;
 
   /// Bytes currently reserved by this slot's buffers.
   std::size_t bytes() const;

@@ -1,22 +1,33 @@
-// 1.5D distributed SpGEMM (Algorithm 2, §5.2): P ← Q·A where both operands
-// are block-row partitioned over the p/c process rows of a 1.5D grid and
-// block row i is replicated on the c ranks of process row P(i, :).
+// 1.5D distributed collectives over a block-row partitioned A (Algorithm 2,
+// §5.2). A is split into p/c block rows and block row i is replicated on the
+// c ranks of process row P(i, :), so each process column holds all of A.
 //
-// The p/c block rows of A are processed in chunked rounds: the c ranks of a
-// process row split the block rows among themselves (each rank handles
-// ⌈(p/c)/c⌉ rounds), receive the A block assigned to the current round from
-// its owner inside their process column, multiply it against the matching
-// column panel of their local Q block, and finally all-reduce the partial
-// products across the process row — the T_prob = α(p/c² + log c) +
-// β(kbd/c + ckbd/p) structure of §5.2.1.
+// Both collectives run on one round skeleton. The p/c block rows of A are
+// processed in chunked rounds: the c ranks of a process row split the block
+// rows among themselves (each rank handles ⌈(p/c)/c⌉ rounds), work against
+// the block assigned to the current round, and finally all-reduce their
+// partial results across the process row — the T_prob = α(p/c² + log c) +
+// β(kbd/c + ckbd/p) structure of §5.2.1. The skeleton also owns crash
+// recovery (survivor routing, redistribution accounting) and the per-rank
+// compute and comm charging, so both collectives fail and recover alike.
+//
+//  - spgemm_15d: P ← Q·A, Q block-row partitioned like A. Each rank
+//    multiplies the received A block against the matching column panel of
+//    its local Q block.
+//  - masked_row_gather_15d: A_S = A[rows_b, S_b] for every batch b of every
+//    process row — the LADIES/FastGCN extraction. The owner of a block
+//    intersects each requested row with its batch's sorted sampled-column
+//    set S_b and returns only those entries, so no whole adjacency row is
+//    built or shipped.
 //
 // Two data-movement variants are provided (§5.2.1):
 //  - sparsity-oblivious (Koanantakool et al.): whole A block rows are
 //    broadcast down each process column;
-//  - sparsity-aware (Ballard et al.): each rank first sends the list
-//    NnzCols(Qˡ_ik) of A-rows its panel actually touches, and the owner
-//    replies with exactly those rows.
-// Both variants produce bit-identical products (the per-entry accumulation
+//  - sparsity-aware (Ballard et al.): each rank first sends the ids of the
+//    A-rows it actually needs (for the gather: the rows plus the masks S_b
+//    of their batches), and the owner replies with exactly those rows (for
+//    the gather: only their masked entries).
+// Both variants produce bit-identical results (the per-entry accumulation
 // order is unchanged); only the communication volume differs.
 #pragma once
 
@@ -24,6 +35,7 @@
 #include <vector>
 
 #include "comm/cluster.hpp"
+#include "core/frontier.hpp"
 #include "graph/partition.hpp"
 #include "sparse/csr.hpp"
 #include "sparse/spgemm_engine.hpp"
@@ -77,8 +89,9 @@ struct Spgemm15dOptions {
   SpgemmOptions local;
 };
 
-/// Exact communication volumes of one spgemm_15d call (Figure 7 analysis
-/// and the sparsity-aware ablation).
+/// Exact communication volumes of one 1.5D collective call (Figure 7
+/// analysis and the sparsity-aware ablation); volumes accumulate across
+/// calls.
 struct Spgemm15dStats {
   std::size_t row_data_bytes = 0;   ///< A-row payload shipped between ranks
   std::size_t id_bytes = 0;         ///< row-id request lists (aware only)
@@ -89,6 +102,11 @@ struct Spgemm15dStats {
   /// from a surviving replica (degrade-and-continue, DESIGN.md §13). Always
   /// 0 on a healthy cluster.
   std::size_t redistribution_bytes = 0;
+  /// Per rank (sized to the grid on first use): units of round work the
+  /// rank computed, as receiver or as answering owner, and the bytes it
+  /// sent or received. A crashed rank is never charged either.
+  std::vector<std::size_t> rank_units;
+  std::vector<std::size_t> rank_bytes;
 };
 
 /// Computes P = Q·A on the cluster. q_blocks[i] is process row i's block of
@@ -100,5 +118,24 @@ std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
                                   const DistBlockRowMatrix& a,
                                   const Spgemm15dOptions& opts = {},
                                   Spgemm15dStats* stats = nullptr);
+
+/// Process row i's part of a masked row gather: its batches' stacked rows
+/// (global A-row ids; batch b owns rows[offsets[b], offsets[b+1])) and, per
+/// batch, the column set S_b to keep (sorted, duplicate-free, < A.cols()).
+struct MaskedRowRequest {
+  FrontierStack rows;
+  std::vector<std::vector<index_t>> masks;
+};
+
+/// Computes A_S = A[rows_b, S_b] for every batch of every process row, with
+/// the kept columns renumbered 0..|S_b|-1 and values passed through:
+/// result[i][b] is bit-identical to spgemm_masked(extract_rows(A, rows_b),
+/// S_b). In sparsity-aware mode a remote unit's request is its row ids plus
+/// the masks of their batches; the reply is the masked entries plus row
+/// pointers. Only opts.sparsity_aware and opts.phase are read.
+std::vector<std::vector<CsrMatrix>> masked_row_gather_15d(
+    Cluster& cluster, const std::vector<MaskedRowRequest>& requests,
+    const DistBlockRowMatrix& a, const Spgemm15dOptions& opts = {},
+    Spgemm15dStats* stats = nullptr);
 
 }  // namespace dms

@@ -471,35 +471,23 @@ void exec_masked_extract(RunCtx& ctx, const PlanOp& op) {
 void exec_masked_extract_15d(RunCtx& ctx, const PlanOp& op) {
   check(ctx.cluster != nullptr && ctx.dadj != nullptr,
         op_where(ctx, op) + ": kMaskedExtract15d requires partitioned execution");
-  const auto rows = ctx.rows.size();
-  // Stage 1 (row-local, timed): stack each row's frontiers into Q_R.
-  std::vector<FrontierStack> stacks(rows);
-  std::vector<CsrMatrix> qr_blocks(rows);
+  // Row-local (timed): stack each row's frontiers and pair every batch with
+  // its sampled set; the owner-side gather then returns A_S per batch.
+  std::vector<MaskedRowRequest> requests(ctx.rows.size());
   rows_op(ctx, op, [&](RowState& r, std::size_t i) {
-    stacks[i] = stack_frontiers(as_lists(ctx, r, ctx.plan.frontier_slot, op));
-    qr_blocks[i] = CsrMatrix::one_nonzero_per_row(ctx.n, stacks[i].vertices);
+    requests[i].rows = stack_frontiers(as_lists(ctx, r, ctx.plan.frontier_slot, op));
+    requests[i].masks = resolve_sampled_sets(ctx, r, op);
   });
-  // Stage 2 (collective): the distributed row-extraction SpGEMM.
   Spgemm15dOptions xopts;
   xopts.sparsity_aware = ctx.sparsity_aware;
   xopts.phase = op.phase;
-  xopts.local = ctx.local;
-  xopts.local.workspace = ctx.ws;
-  const auto ar_blocks = spgemm_15d(*ctx.cluster, qr_blocks, *ctx.dadj, xopts);
-  // Stage 3 (row-local, timed): per-batch slice + masked column extraction.
-  rows_op(ctx, op, [&](RowState& r, std::size_t i) {
-    const auto& off = stacks[i].offsets;
-    const auto& sets = resolve_sampled_sets(ctx, r, op);
-    PlanValue& out = slot_ref(ctx, r, op.out, op);
+  auto mats = masked_row_gather_15d(*ctx.cluster, requests, *ctx.dadj, xopts);
+  for (std::size_t i = 0; i < ctx.rows.size(); ++i) {
+    if (ctx.rows[i].stopped) continue;
+    PlanValue& out = slot_ref(ctx, ctx.rows[i], op.out, op);
     out.kind = PlanValue::Kind::kMatrixList;
-    out.mats.assign(r.out.size(), CsrMatrix());
-    for (std::size_t b = 0; b < r.out.size(); ++b) {
-      const CsrMatrix ar_b = row_slice(ar_blocks[i], off[b], off[b + 1]);
-      SpgemmOptions mopts;
-      mopts.workspace = ctx.ws;
-      out.mats[b] = spgemm_masked(ar_b, sets[b], mopts);
-    }
-  });
+    out.mats = std::move(mats[i]);
+  }
 }
 
 void exec_frontier_union(RunCtx& ctx, const PlanOp& op) {

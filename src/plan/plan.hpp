@@ -16,9 +16,9 @@
 // ops through the single-node kernels (spgemm_engine, its_sample_rows); the
 // partitioned executor runs a *lowered* plan (lower_to_dist) in which every
 // kSpgemm has been rewritten to the collective kSpgemm15d and every
-// kMaskedExtract to kMaskedExtract15d — the stacked 1.5D row-extraction
-// product plus per-batch masked slicing, whose internal fetch/exchange steps
-// carry the communication accounting. Because every kernel obeys the
+// kMaskedExtract to kMaskedExtract15d — the owner-side masked row gather,
+// which ships only each batch's sampled columns. The collectives' internal
+// fetch/exchange steps carry the communication accounting. Because every kernel obeys the
 // engine's bit-identity contract and all randomness is derived from (epoch,
 // global batch id, round, row) seeds, a plan produces bit-identical
 // minibatches in every mode, grid shape, and thread count.
@@ -103,8 +103,9 @@ enum class PlanOpKind {
   /// kSpgemm lowered to the 1.5D collective (Algorithm 2): per-process-row
   /// Q blocks, chunked A-row fetch/exchange, all-reduce of partials.
   kSpgemm15d,
-  /// kMaskedExtract lowered to the distributed form: stacked Q_R through
-  /// the 1.5D collective, then per-batch row_slice + masked extraction.
+  /// kMaskedExtract lowered to the distributed form: each process row's
+  /// stacked frontiers and per-batch sampled sets go to the row owners,
+  /// which return only the sampled columns (masked_row_gather_15d).
   kMaskedExtract15d,
 };
 

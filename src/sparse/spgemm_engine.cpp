@@ -391,15 +391,6 @@ CsrMatrix stitch(index_t m, index_t n, const std::vector<index_t>& bounds,
   return CsrMatrix(m, n, std::move(rowptr), std::move(colidx), std::move(vals));
 }
 
-void check_mask(const std::vector<index_t>& mask, index_t cols, const char* who) {
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    check(mask[i] >= 0 && mask[i] < cols,
-          std::string(who) + ": mask column id out of range");
-    check(i == 0 || mask[i - 1] < mask[i],
-          std::string(who) + ": mask must be sorted and duplicate-free");
-  }
-}
-
 /// Applies the fused normalization epilogue to one block's staged rows
 /// (slot.vals holds the block's rows contiguously, in row order, lengths in
 /// slot.row_nnz). Entry order per row matches ladies_norm/normalize_rows on
@@ -438,6 +429,30 @@ void for_blocks(const std::vector<index_t>& bounds, Fn&& body) {
 }
 
 }  // namespace
+
+void check_mask(const std::vector<index_t>& mask, index_t cols, const char* who) {
+  for (std::size_t i = 0; i < mask.size(); ++i) {
+    check(mask[i] >= 0 && mask[i] < cols,
+          std::string(who) + ": mask column id out of range");
+    check(i == 0 || mask[i - 1] < mask[i],
+          std::string(who) + ": mask must be sorted and duplicate-free");
+  }
+}
+
+nnz_t append_masked_row(const CsrMatrix& a, index_t r,
+                        const std::vector<index_t>& mask,
+                        std::vector<index_t>& cols, std::vector<value_t>& vals) {
+  const auto avals = a.row_vals(r);
+  nnz_t kept = 0;
+  // Row columns are sorted and unique, so the intersection needs no
+  // accumulator: values pass through and positions emerge ascending.
+  intersect_sorted(a.row_cols(r), mask, [&](index_t pos, std::size_t j) {
+    cols.push_back(pos);
+    vals.push_back(avals[j]);
+    ++kept;
+  });
+  return kept;
+}
 
 SpgemmKernel spgemm_pick_kernel(nnz_t block_flops, index_t out_cols) {
   // The default cost model's boundary is exactly the engine's historical
@@ -529,16 +544,8 @@ CsrMatrix spgemm_masked(const CsrMatrix& a, const std::vector<index_t>& mask,
     BlockOut out(ws.slot(static_cast<std::size_t>(blk)));
     out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
     for (index_t r = r0; r < r1; ++r) {
-      const auto avals = a.row_vals(r);
-      nnz_t kept = 0;
-      // Row columns are sorted and unique, so the intersection needs no
-      // accumulator: values pass through and positions emerge ascending.
-      intersect_sorted(a.row_cols(r), mask, [&](index_t pos, std::size_t j) {
-        out.colidx.push_back(pos);
-        out.vals.push_back(avals[j]);
-        ++kept;
-      });
-      out.row_nnz[static_cast<std::size_t>(r - r0)] = kept;
+      out.row_nnz[static_cast<std::size_t>(r - r0)] =
+          append_masked_row(a, r, mask, out.colidx, out.vals);
     }
   });
 

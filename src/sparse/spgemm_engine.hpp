@@ -89,6 +89,17 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
 CsrMatrix spgemm_masked(const CsrMatrix& a, const std::vector<index_t>& mask,
                         const SpgemmOptions& opts = {});
 
+/// The column-mask contract of every masked product: ids in [0, cols),
+/// sorted, duplicate-free. Throws DmsError naming `who` otherwise.
+void check_mask(const std::vector<index_t>& mask, index_t cols, const char* who);
+
+/// One row of spgemm_masked: appends row r of `a` restricted to the
+/// (already checked) `mask`, columns renumbered to mask positions and
+/// values passed through, to cols/vals. Returns the entries appended.
+nnz_t append_masked_row(const CsrMatrix& a, index_t r,
+                        const std::vector<index_t>& mask,
+                        std::vector<index_t>& cols, std::vector<value_t>& vals);
+
 /// Kernel the kAuto estimator picks for a row block performing `block_flops`
 /// multiply-adds into `out_cols` output columns under the DEFAULT cost
 /// model (SpgemmCostModel{}.pick). Exposed so tests and the

@@ -27,6 +27,30 @@ void expect_csr_equal(const CsrMatrix& a, const CsrMatrix& b,
   ASSERT_EQ(a.vals(), b.vals()) << ctx;
 }
 
+/// Flattens both bulk results (the per-row split differs — dead rows take
+/// no batches — but the concatenation preserves sub-batch order either way)
+/// and compares every sample bit for bit.
+void expect_samples_equal(const std::vector<std::vector<MinibatchSample>>& ref,
+                          const std::vector<std::vector<MinibatchSample>>& got,
+                          const std::string& ctx) {
+  std::vector<const MinibatchSample*> flat_ref, flat_got;
+  for (const auto& row : ref)
+    for (const auto& ms : row) flat_ref.push_back(&ms);
+  for (const auto& row : got)
+    for (const auto& ms : row) flat_got.push_back(&ms);
+  ASSERT_EQ(flat_ref.size(), flat_got.size());
+  for (std::size_t i = 0; i < flat_ref.size(); ++i) {
+    EXPECT_EQ(flat_ref[i]->batch_vertices, flat_got[i]->batch_vertices)
+        << ctx << " sample " << i;
+    ASSERT_EQ(flat_ref[i]->layers.size(), flat_got[i]->layers.size());
+    for (std::size_t l = 0; l < flat_ref[i]->layers.size(); ++l) {
+      expect_csr_equal(flat_ref[i]->layers[l].adj, flat_got[i]->layers[l].adj,
+                       ctx + " sample " + std::to_string(i) + " layer " +
+                           std::to_string(l));
+    }
+  }
+}
+
 TEST(FaultPlan, DrawsAreDeterministicAndSeedDependent) {
   FaultPlanConfig cfg;
   cfg.seed = 42;
@@ -299,24 +323,138 @@ TEST(PartitionedSampler, SamplesAreBitIdenticalUnderRankDeath) {
     faulty.begin_superstep();
     const auto got = sampler_f->sample_bulk(faulty, batches, ids, 0xabc);
 
-    // Flatten both (the per-row split differs — dead rows take no batches —
-    // but the concatenation preserves sub-batch order either way).
-    std::vector<const MinibatchSample*> flat_ref, flat_got;
-    for (const auto& row : ref)
-      for (const auto& ms : row) flat_ref.push_back(&ms);
-    for (const auto& row : got)
-      for (const auto& ms : row) flat_got.push_back(&ms);
-    ASSERT_EQ(flat_ref.size(), flat_got.size());
-    for (std::size_t i = 0; i < flat_ref.size(); ++i) {
-      EXPECT_EQ(flat_ref[i]->batch_vertices, flat_got[i]->batch_vertices)
-          << to_string(kind) << " sample " << i;
-      ASSERT_EQ(flat_ref[i]->layers.size(), flat_got[i]->layers.size());
-      for (std::size_t l = 0; l < flat_ref[i]->layers.size(); ++l) {
-        expect_csr_equal(flat_ref[i]->layers[l].adj, flat_got[i]->layers[l].adj,
-                         to_string(kind) + " sample " + std::to_string(i) +
-                             " layer " + std::to_string(l));
+    expect_samples_equal(ref, got, to_string(kind));
+  }
+}
+
+TEST(MaskedRowGather, RankDeathKeepsResultsAndChargesNoDeadRank) {
+  // Both 1.5D collectives run on one round skeleton; kill the rank that owns
+  // block row 0 in process column 0 and check each recovers alike.
+  const CsrMatrix a = testutil::random_csr(64, 64, 0.1, 9);
+  const ProcessGrid grid(8, 2);  // 4 block rows
+  const DistBlockRowMatrix da(grid, a);
+  const int dead = grid.rank_of(0, 0);
+  std::vector<CsrMatrix> q_blocks;
+  std::vector<MaskedRowRequest> reqs(static_cast<std::size_t>(grid.rows()));
+  Pcg32 rng(10, 1);
+  for (auto& req : reqs) {
+    q_blocks.push_back(testutil::random_csr(6, 64, 0.1, rng()));
+    std::vector<std::vector<index_t>> frontiers(2);
+    for (auto& f : frontiers) {
+      for (int t = 0; t < 6; ++t) f.push_back(rng.bounded(64));
+      std::vector<index_t> mask;
+      for (index_t c = 0; c < 64; c += 1 + rng.bounded(5)) mask.push_back(c);
+      req.masks.push_back(std::move(mask));
+    }
+    req.rows = stack_frontiers(frontiers);
+  }
+  FaultPlanConfig cfg;
+  cfg.crashes = {{dead, 0}};
+  const FaultPlan plan(cfg);
+
+  for (const bool sparsity_aware : {false, true}) {
+    const std::string mode = sparsity_aware ? " (aware)" : " (oblivious)";
+    Spgemm15dOptions opts;
+    opts.sparsity_aware = sparsity_aware;
+    opts.phase = "extraction";
+    Cluster healthy(grid, CostModel(LinkParams{}));
+    const auto ref_p = spgemm_15d(healthy, q_blocks, da, opts);
+    const auto ref_g = masked_row_gather_15d(healthy, reqs, da, opts);
+
+    Cluster faulty(grid, CostModel(LinkParams{}));
+    faulty.install_faults(&plan);
+    faulty.begin_superstep();
+    ASSERT_FALSE(faulty.alive(dead));
+    Spgemm15dStats ps, gs;
+    const auto got_p = spgemm_15d(faulty, q_blocks, da, opts, &ps);
+    const auto got_g = masked_row_gather_15d(faulty, reqs, da, opts, &gs);
+
+    for (std::size_t i = 0; i < reqs.size(); ++i) {
+      expect_csr_equal(ref_p[i], got_p[i], "product row " + std::to_string(i) + mode);
+      ASSERT_EQ(ref_g[i].size(), got_g[i].size());
+      for (std::size_t b = 0; b < ref_g[i].size(); ++b) {
+        expect_csr_equal(ref_g[i][b], got_g[i][b],
+                         "gather row " + std::to_string(i) + mode);
       }
     }
+    for (const Spgemm15dStats* st : {&ps, &gs}) {
+      const char* what = st == &ps ? "spgemm_15d" : "gather";
+      // Survivors re-fetched the dead rank's block and took over its work.
+      EXPECT_GT(st->redistribution_bytes, 0u) << what << mode;
+      // ... and the dead rank computed and moved nothing.
+      ASSERT_EQ(st->rank_units.size(), static_cast<std::size_t>(grid.size()));
+      EXPECT_EQ(st->rank_units[static_cast<std::size_t>(dead)], 0u) << what << mode;
+      EXPECT_EQ(st->rank_bytes[static_cast<std::size_t>(dead)], 0u) << what << mode;
+      const int stand_in = grid.rank_of(0, 1);
+      EXPECT_GT(st->rank_units[static_cast<std::size_t>(stand_in)], 0u) << what << mode;
+      EXPECT_GT(st->rank_bytes[static_cast<std::size_t>(stand_in)], 0u) << what << mode;
+    }
+  }
+}
+
+TEST(MaskedRowGather, FullyDeadRowIsUnrecoverableOnlyIfReferenced) {
+  const CsrMatrix a = testutil::random_csr(32, 32, 0.2, 11);
+  const ProcessGrid grid(4, 2);  // 2 rows x 2 columns
+  const DistBlockRowMatrix da(grid, a);
+  // Kill both replicas of process row 1: ranks (1, 0) = 1 and (1, 1) = 3.
+  FaultPlanConfig cfg;
+  cfg.crashes = {{1, 0}, {3, 0}};
+  const FaultPlan plan(cfg);
+  const index_t lost_row = da.partition().begin(1);  // owned by block row 1
+  const auto run = [&](std::vector<index_t> rows0, std::vector<index_t> rows1) {
+    Cluster cluster(grid, CostModel(LinkParams{}));
+    cluster.install_faults(&plan);
+    cluster.begin_superstep();
+    std::vector<MaskedRowRequest> reqs(2);
+    reqs[0].rows = stack_frontiers({std::move(rows0)});
+    reqs[0].masks = {{0, 1, 2, 3}};
+    reqs[1].rows = stack_frontiers({std::move(rows1)});
+    reqs[1].masks = {{0, 1, 2, 3}};
+    return masked_row_gather_15d(cluster, reqs, da);
+  };
+  // Process row 0 still referencing a row of the lost block row.
+  EXPECT_THROW(run({0, lost_row}, {}), DmsError);
+  // The dead process row still owning rows.
+  EXPECT_THROW(run({0}, {1}), DmsError);
+  // Work confined to the surviving block row sails through.
+  const auto out = run({0, 1, 2}, {});
+  EXPECT_EQ(out[0][0].rows(), 3);
+}
+
+TEST(PartitionedLadies, OwnerRankDeathKeepsSamplesBitIdentical) {
+  // Crash the owner of block row 0 in process column 0 mid-bulk: the
+  // owner-side masked gather reroutes through the row's survivor.
+  const Dataset ds = make_planted_dataset(256, 4, 8, 8.0, 0.85, 5);
+  const ProcessGrid grid(8, 2);
+  const int dead = grid.rank_of(0, 0);
+  std::vector<std::vector<index_t>> batches;
+  std::vector<index_t> ids;
+  for (index_t b = 0; b < 8; ++b) {
+    std::vector<index_t> batch;
+    for (index_t v = 0; v < 16; ++v) batch.push_back((b * 37 + v * 5) % 256);
+    batches.push_back(std::move(batch));
+    ids.push_back(b);
+  }
+  for (const SamplerKind kind : {SamplerKind::kLadies, SamplerKind::kFastGcn}) {
+    const SamplerConfig sc{{24, 24}, 19};
+    const auto make = [&] {
+      return make_sampler(kind, DistMode::kPartitioned, ds.graph,
+                          SamplerContext{sc, &grid, {}, nullptr, {}, {}});
+    };
+    Cluster healthy(grid, CostModel(LinkParams{}));
+    const auto ref = make()->sample_bulk(healthy, batches, ids, 0x5eed);
+
+    FaultPlanConfig cfg;
+    cfg.crashes = {{dead, 0}};
+    const FaultPlan plan(cfg);
+    Cluster faulty(grid, CostModel(LinkParams{}));
+    faulty.install_faults(&plan);
+    faulty.begin_superstep();
+    const auto got = make()->sample_bulk(faulty, batches, ids, 0x5eed);
+    expect_samples_equal(ref, got, to_string(kind));
+    // FastGCN's plan has no probability product, so its redistribution is
+    // the extraction gather's alone; LADIES adds the probability phase's.
+    EXPECT_GT(faulty.fault_stats().redistribution_bytes, 0u) << to_string(kind);
   }
 }
 
