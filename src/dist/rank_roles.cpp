@@ -1,4 +1,4 @@
-#include "dist/disagg.hpp"
+#include "dist/rank_roles.hpp"
 
 #include <algorithm>
 #include <string>
@@ -17,33 +17,34 @@ int largest_divisor_at_most(int n, int cap) {
 
 }  // namespace
 
-DisaggLayout make_disagg_layout(const ProcessGrid& full,
-                                const DisaggOptions& opts) {
+RankRoles make_rank_roles(DistMode mode, const ProcessGrid& full,
+                          const DisaggOptions& opts) {
   const int p = full.size();
-  check(p >= 2, "make_disagg_layout: disaggregation needs at least 2 ranks "
+  if (mode == DistMode::kPartitioned) {
+    return {full, full, SamplingCluster::kMain, full};
+  }
+  if (mode == DistMode::kReplicated) {
+    return {ProcessGrid(p, 1), full, SamplingCluster::kNone, full};
+  }
+  check(p >= 2, "make_rank_roles: disaggregation needs at least 2 ranks "
                 "(1 sampler + 1 trainer)");
   check(opts.sampler_ranks >= 0 && opts.sampler_c >= 0 && opts.trainer_c >= 0,
-        "make_disagg_layout: sampler_ranks / sampler_c / trainer_c must be "
+        "make_rank_roles: sampler_ranks / sampler_c / trainer_c must be "
         ">= 0 (0 = auto)");
   const int s = opts.sampler_ranks > 0 ? opts.sampler_ranks : std::max(1, p / 4);
   check(s >= 1 && s < p,
-        "make_disagg_layout: sampler_ranks must be in [1, p): got " +
+        "make_rank_roles: sampler_ranks must be in [1, p): got " +
             std::to_string(s) + " of " + std::to_string(p));
   const int t = p - s;
   const int cs = opts.sampler_c > 0 ? opts.sampler_c : 1;
-  check(s % cs == 0, "make_disagg_layout: sampler_c must divide sampler_ranks");
+  check(s % cs == 0, "make_rank_roles: sampler_c must divide sampler_ranks");
   const int ct = opts.trainer_c > 0
                      ? opts.trainer_c
                      : largest_divisor_at_most(t, full.replication());
-  check(t % ct == 0, "make_disagg_layout: trainer_c must divide the trainer "
+  check(t % ct == 0, "make_rank_roles: trainer_c must divide the trainer "
                      "count (p - sampler_ranks)");
-  DisaggLayout layout;
-  layout.total = p;
-  layout.samplers = s;
-  layout.trainers = t;
-  layout.sampler_grid = ProcessGrid(s, cs);
-  layout.trainer_grid = ProcessGrid(t, ct);
-  return layout;
+  return {ProcessGrid(p, 1), ProcessGrid(s, cs), SamplingCluster::kOwned,
+          ProcessGrid(t, ct)};
 }
 
 }  // namespace dms

@@ -95,12 +95,11 @@ std::unique_ptr<MatrixSampler> make_sampler(SamplerKind kind, DistMode mode,
   // kDisaggregated partitions over the sampler sub-grid. ctx.cluster is not
   // bound there: its grid is the full cluster's (the pipeline binds its
   // sampler-role sub-cluster after construction).
-  DisaggLayout layout;
+  RankRoles roles;
   const ProcessGrid* grid = nullptr;
-  if (mode == DistMode::kPartitioned) grid = ctx.grid;
-  if (mode == DistMode::kDisaggregated) {
-    layout = make_disagg_layout(*ctx.grid, ctx.disagg);
-    grid = &layout.sampler_grid;
+  if (mode != DistMode::kReplicated) {
+    roles = make_rank_roles(mode, *ctx.grid, ctx.disagg);
+    grid = &roles.sampler_grid;
   }
   KindRecipe r = recipe_for(kind, graph, ctx);
   auto sampler =

@@ -4,9 +4,8 @@
 // Every combination is the one MatrixSampler class. make_sampler maps the
 // kind onto {plan builder, graph transform, walk-config mapping} in one
 // switch, applies the one fanout rule (validate_fanouts), and places the
-// sampler by mode: no grid for kReplicated, ctx.grid for kPartitioned, the
-// sampler sub-grid of the disaggregated layout for kDisaggregated. Call
-// sites — the training pipeline, benches, and examples — drive the
+// sampler on the sampler grid of make_rank_roles (none for kReplicated).
+// Call sites — the training pipeline, benches, and examples — drive the
 // distributed API directly through MatrixSampler::sample_bulk(Cluster&, …).
 #pragma once
 
@@ -14,7 +13,7 @@
 #include <string>
 
 #include "core/sampler.hpp"
-#include "dist/disagg.hpp"
+#include "dist/rank_roles.hpp"
 
 namespace dms {
 
@@ -27,13 +26,6 @@ enum class SamplerKind {
   kNode2Vec,
   kPinSage,
 };
-/// kDisaggregated: sampler/trainer rank roles (DESIGN.md §14). The factory
-/// partitions the algorithm's sampler over the *sampler sub-grid* of
-/// make_disagg_layout(ctx.grid, ctx.disagg) — the dist lowering pass thereby
-/// places every plan op on the sampler ranks; the training pipeline runs the
-/// trainer role on the remaining ranks.
-enum class DistMode { kReplicated, kPartitioned, kDisaggregated };
-
 std::string to_string(SamplerKind kind);
 std::string to_string(DistMode mode);
 
@@ -55,7 +47,7 @@ struct SamplerContext {
   SamplerConfig config;
   /// Partitioned modes: the process grid to partition over (required). For
   /// kDisaggregated this is the *full* cluster grid; make_sampler derives
-  /// the sampler sub-grid from it via make_disagg_layout(grid, disagg).
+  /// the sampler sub-grid from it via make_rank_roles(mode, grid, disagg).
   const ProcessGrid* grid = nullptr;
   PartitionedSamplerOptions part_opts;
   /// Optional long-lived cluster bound to kPartitioned samplers so their

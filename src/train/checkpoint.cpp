@@ -10,7 +10,8 @@ namespace {
 
 // "DMSK" little-endian, next to kCsrMagic "DMSC" / kDataMagic "DMSD".
 constexpr std::uint32_t kCkptMagic = 0x4b534d44u;
-constexpr std::uint32_t kCkptVersion = 1;
+/// 2: the fingerprint also records the placement grid (rows, replication).
+constexpr std::uint32_t kCkptVersion = 2;
 
 void write_u32(std::ostream& os, std::uint32_t v) {
   os.write(reinterpret_cast<const char*>(&v), sizeof(v));
@@ -47,11 +48,14 @@ double read_f64(std::istream& is, const char* what) {
 
 /// The config fingerprint: every knob that shapes the epoch schedule or the
 /// training arithmetic, flattened to i64 fields (floats as raw bits so the
-/// comparison is exact). Restoring under a different fingerprint would
-/// silently change the remainder of the run — reject instead.
+/// comparison is exact). That includes the placement grid: its rows and
+/// replication decide which batches form each optimizer step. Restoring
+/// under a different fingerprint would silently change the remainder of the
+/// run — reject instead.
 std::vector<std::int64_t> fingerprint(const Pipeline& pipe) {
   const PipelineConfig& cfg = pipe.config();
   const ModelConfig& mc = const_cast<Pipeline&>(pipe).model().config();
+  const ProcessGrid& placement = pipe.roles().placement;
   std::uint32_t lr_bits = 0;
   std::memcpy(&lr_bits, &cfg.lr, sizeof(lr_bits));
   std::vector<std::int64_t> fp = {
@@ -70,6 +74,8 @@ std::vector<std::int64_t> fingerprint(const Pipeline& pipe) {
       mc.num_classes,
       mc.num_layers,
       static_cast<std::int64_t>(cfg.fanouts.size()),
+      placement.rows(),
+      placement.replication(),
   };
   for (const index_t f : cfg.fanouts) fp.push_back(f);
   return fp;

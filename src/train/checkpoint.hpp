@@ -12,7 +12,8 @@
 //
 // Binary format ("DMSK", versioned like graph/io.cpp): a config fingerprint
 // (sampler, mode, fanouts, batch/bulk/overlap shape, seed, optimizer,
-// learning rate, model dimensions) guards the restore — loading into a
+// learning rate, model dimensions, placement grid) guards the restore —
+// loading into a
 // pipeline whose config would produce a different schedule or different
 // arithmetic is rejected, not silently accepted.
 #pragma once

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <numeric>
+#include <string>
 
 #include "common/rng.hpp"
 #include "common/timer.hpp"
@@ -39,24 +40,16 @@ std::vector<index_t> top_degree_vertices(const Graph& graph, index_t count) {
   return order;
 }
 
-DisaggLayout layout_for(const PipelineConfig& cfg, const Cluster& cluster) {
-  return cfg.mode == DistMode::kDisaggregated
-             ? make_disagg_layout(cluster.grid(), cfg.disagg)
-             : DisaggLayout{};
-}
-
 FeatureStoreOptions feature_store_options(const PipelineConfig& cfg,
-                                          const DisaggLayout& layout) {
+                                          const RankRoles& roles) {
   FeatureStoreOptions opts;
   opts.cache = cfg.feature_cache;
-  if (cfg.mode == DistMode::kDisaggregated) {
-    // H lives on the trainer sub-grid; translate its local ranks to the
-    // global ids [s, p) so the modeled all-to-allv classifies links by
-    // where the trainers actually sit.
-    opts.global_ranks.resize(static_cast<std::size_t>(layout.trainers));
-    for (int j = 0; j < layout.trainers; ++j) {
-      opts.global_ranks[static_cast<std::size_t>(j)] = layout.trainer_rank(j);
-    }
+  // H lives on the trainer grid; translate its local ranks to the global
+  // trainer ranks so the modeled all-to-allv classifies links by where the
+  // trainers actually sit.
+  opts.global_ranks.resize(static_cast<std::size_t>(roles.trainers()));
+  for (int j = 0; j < roles.trainers(); ++j) {
+    opts.global_ranks[static_cast<std::size_t>(j)] = roles.trainer_rank(j);
   }
   return opts;
 }
@@ -67,10 +60,9 @@ Pipeline::Pipeline(Cluster& cluster, const Dataset& dataset, PipelineConfig conf
     : cluster_(cluster),
       ds_(dataset),
       cfg_(std::move(config)),
-      disagg_(layout_for(cfg_, cluster)),
-      features_(cfg_.mode == DistMode::kDisaggregated ? disagg_.trainer_grid
-                                                      : cluster.grid(),
-                dataset.features, feature_store_options(cfg_, disagg_)),
+      roles_(make_rank_roles(cfg_.mode, cluster.grid(), cfg_.disagg)),
+      features_(roles_.trainer_grid, dataset.features,
+                feature_store_options(cfg_, roles_)),
       model_(make_model_config(dataset, cfg_)) {
   check(!cfg_.fanouts.empty(), "Pipeline: fanouts must be non-empty");
   check(cfg_.presample_rounds >= 1, "Pipeline: presample_rounds must be >= 1");
@@ -78,17 +70,19 @@ Pipeline::Pipeline(Cluster& cluster, const Dataset& dataset, PipelineConfig conf
   ctx.config = SamplerConfig{cfg_.fanouts, cfg_.seed};
   ctx.grid = &cluster_.grid();
   ctx.part_opts = cfg_.part_opts;
-  // The staged executor drives the cluster-explicit distributed API itself;
-  // the binding only ensures that any cluster-less sample_bulk of sampler_
-  // records its phases on this pipeline's clock rather than an ephemeral one.
-  ctx.cluster = &cluster_;
   ctx.disagg = cfg_.disagg;
   sampler_ = make_sampler(cfg_.sampler, cfg_.mode, ds_.graph, ctx);
-  if (cfg_.mode == DistMode::kDisaggregated) {
-    disagg_cluster_ =
-        std::make_unique<Cluster>(disagg_.sampler_grid, cluster_.cost_model());
-    sampler_->bind_cluster(disagg_cluster_.get());
+  if (roles_.sampling == SamplingCluster::kOwned) {
+    owned_sampling_cluster_ =
+        std::make_unique<Cluster>(roles_.sampler_grid, cluster_.cost_model());
+    sampling_cluster_ = owned_sampling_cluster_.get();
+  } else if (roles_.sampling == SamplingCluster::kMain) {
+    sampling_cluster_ = &cluster_;
   }
+  // The staged executor drives the cluster-explicit distributed API itself;
+  // the binding only ensures that any cluster-less sample_bulk of sampler_
+  // records its phases on the sampling clock rather than an ephemeral one.
+  if (sampling_cluster_ != nullptr) sampler_->bind_cluster(sampling_cluster_);
   optimizer_ = cfg_.use_adam
                    ? std::unique_ptr<Optimizer>(std::make_unique<Adam>(cfg_.lr))
                    : std::unique_ptr<Optimizer>(std::make_unique<Sgd>(cfg_.lr, 0.9f));
@@ -131,14 +125,11 @@ void Pipeline::presample_warmup() {
   std::vector<index_t> ids(n);
   std::iota(ids.begin(), ids.end(), index_t{0});
 
-  // Cost measurement: the distributed modes record the warmup's phases on a
-  // cluster (the bound main cluster for kPartitioned — wiped by the first
-  // epoch's reset_clock — or the sampler sub-cluster for kDisaggregated);
-  // the replicated sampler is host-timed like replicated_round would.
-  Cluster* recorder = cfg_.mode == DistMode::kDisaggregated
-                          ? disagg_cluster_.get()
-                          : cfg_.mode == DistMode::kPartitioned ? &cluster_
-                                                                : nullptr;
+  // Cost measurement: the warmup records its phases on the roles' sampling
+  // cluster, which is cleared afterwards (the cost is billed once, as the
+  // first epoch's "warmup" phase); without a sampling cluster it is
+  // host-timed like the executor's host-timed bulk round.
+  Cluster* recorder = sampling_cluster_;
   const double before =
       recorder ? recorder->total_compute() + recorder->total_comm() : 0.0;
   Timer timer;
@@ -153,7 +144,7 @@ void Pipeline::presample_warmup() {
                    link.launch_overhead * 4.0 *
                        static_cast<double>(cfg_.fanouts.size());
   }
-  if (disagg_cluster_) disagg_cluster_->reset_clock();
+  if (recorder != nullptr) recorder->reset_clock();
 
   std::vector<std::uint64_t> counts(
       static_cast<std::size_t>(ds_.graph.num_vertices()), 0);
@@ -238,28 +229,25 @@ double Pipeline::evaluate(const std::vector<index_t>& idx,
 }
 
 std::size_t Pipeline::per_rank_bytes(int rank) const {
-  if (cfg_.mode == DistMode::kDisaggregated) {
-    // Sampler ranks hold only their adjacency block rows; trainer ranks a
-    // model replica, their feature block, and the cache — the memory
-    // asymmetry the mode exists to exploit (freed adjacency memory funds a
-    // higher trainer replication factor or a larger cache).
-    if (rank < disagg_.samplers) {
-      return sampler_->dist_adjacency().block_bytes(
-          disagg_.sampler_grid.row_of(rank));
-    }
-    const int local = rank - disagg_.samplers;
-    return model_.param_bytes() +
-           features_.block_bytes(disagg_.trainer_grid.row_of(local)) +
-           features_.cache_bytes();
+  check(rank >= 0 && rank < cluster_.size(),
+        "Pipeline::per_rank_bytes: rank " + std::to_string(rank) +
+            " outside [0, " + std::to_string(cluster_.size()) + ")");
+  // Colocated, every rank holds both shares; disaggregated, sampler ranks
+  // hold only their adjacency block rows and trainer ranks only the rest —
+  // the memory asymmetry that funds a higher trainer replication factor or
+  // a larger cache.
+  std::size_t bytes = 0;
+  if (roles_.samples(rank)) {
+    bytes += sampler_->partitioned()
+                 ? sampler_->dist_adjacency().block_bytes(
+                       roles_.sampler_grid.row_of(rank))
+                 : ds_.graph.adjacency().bytes();
   }
-  const ProcessGrid& grid = cluster_.grid();
-  std::size_t bytes = model_.param_bytes();
-  bytes += features_.block_bytes(grid.row_of(rank));
-  bytes += features_.cache_bytes();
-  if (sampler_->partitioned()) {
-    bytes += sampler_->dist_adjacency().block_bytes(grid.row_of(rank));
-  } else {
-    bytes += ds_.graph.adjacency().bytes();
+  if (roles_.trains(rank)) {
+    bytes += model_.param_bytes() +
+             features_.block_bytes(
+                 roles_.trainer_grid.row_of(rank - roles_.first_trainer())) +
+             features_.cache_bytes();
   }
   return bytes;
 }

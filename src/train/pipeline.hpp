@@ -173,8 +173,13 @@ class Pipeline {
   /// The training optimizer (checkpoint serialization of its state).
   Optimizer& optimizer() { return *optimizer_; }
 
-  /// Approximate per-rank device memory (adjacency + feature block + cache
-  /// + model), for reproducing the paper's memory-capped (c, k) choices.
+  /// Which ranks sample, which train, and where batches are placed.
+  const RankRoles& roles() const { return roles_; }
+
+  /// Approximate device memory of global rank `rank`: its adjacency if it
+  /// samples, plus model, feature block and cache if it trains — for
+  /// reproducing the paper's memory-capped (c, k) choices. Throws DmsError
+  /// outside [0, p).
   std::size_t per_rank_bytes(int rank) const;
 
  private:
@@ -189,20 +194,21 @@ class Pipeline {
   Cluster& cluster_;
   const Dataset& ds_;
   PipelineConfig cfg_;
-  /// Role layout when mode == kDisaggregated (value-initialized otherwise).
   /// Declared before features_: the store partitions H over the trainer
-  /// sub-grid in that mode.
-  DisaggLayout disagg_;
+  /// grid.
+  RankRoles roles_;
   FeatureStore features_;
   /// Constructed through make_sampler (the factory is the only construction
-  /// path for samplers in the pipeline). Partitioned when mode !=
-  /// kReplicated (the disaggregated sampler over the sampler sub-grid).
+  /// path for samplers in the pipeline), over the roles' sampler grid.
   std::unique_ptr<MatrixSampler> sampler_;
-  /// Sampler-role sub-cluster (mode == kDisaggregated): sampling phases
+  /// SamplingCluster::kOwned: the sampler-role sub-cluster. Sampling phases
   /// accumulate here and drain into cluster_ every bulk round, so one clock
-  /// covers both roles. Same CostModel; the sampler sub-grid's local ranks
+  /// covers both roles. Same CostModel; the sampler grid's local ranks
   /// coincide with global ranks [0, s), so link classification is exact.
-  std::unique_ptr<Cluster> disagg_cluster_;
+  std::unique_ptr<Cluster> owned_sampling_cluster_;
+  /// The roles' sampling cluster: nullptr (kNone), &cluster_ (kMain) or
+  /// owned_sampling_cluster_ (kOwned). The sampler is bound to it.
+  Cluster* sampling_cluster_ = nullptr;
   SageModel model_;
   std::unique_ptr<Optimizer> optimizer_;
   double warmup_cost_ = 0.0;     ///< measured by presample_warmup()

@@ -42,71 +42,48 @@ double StagedPipeline::clock() const {
 void StagedPipeline::assign_batches(const std::vector<index_t>& remaining,
                                     index_t boundary) {
   Cluster& cluster = p_.cluster_;
-  const ProcessGrid& grid = cluster.grid();
+  const ProcessGrid& grid = p_.roles_.placement;
   const int p = cluster.size();
   const auto n = static_cast<index_t>(remaining.size());
   index_t max_steps = boundary;
 
-  if (p_.cfg_.mode != DistMode::kPartitioned) {
-    // §5.1/§6.1: minibatches block-assigned to the alive ranks; each rank
-    // trains its block in order. With every rank alive this is exactly the
-    // classic BlockPartition(k, p) assignment. kDisaggregated inherits this
-    // branch unchanged: its p *logical slots* carry the replicated
-    // placement (same step grouping, same accumulation order — the source
-    // of its loss bit-identity to kReplicated), and only the physical
-    // execution maps slots onto trainer ranks (DESIGN.md §14).
-    const std::vector<int> alive = cluster.alive_ranks();
-    check(!alive.empty() || n == 0,
-          "StagedPipeline: every rank has crashed — cannot continue the epoch");
-    const BlockPartition bp(n, static_cast<index_t>(std::max<std::size_t>(
-                                   1, alive.size())));
-    for (std::size_t a = 0; a < alive.size(); ++a) {
-      const index_t lo = bp.begin(static_cast<index_t>(a));
-      const index_t hi = bp.end(static_cast<index_t>(a));
-      for (index_t m = lo; m < hi; ++m) {
-        placement_[static_cast<std::size_t>(remaining[static_cast<std::size_t>(m)])] =
-            Placement{alive[a], boundary + (m - lo)};
-      }
-      max_steps = std::max(max_steps, boundary + (hi - lo));
+  // §5.1/§5.2: minibatches block-assigned to the alive process rows of the
+  // placement grid; each row's surviving replicas round-robin its block.
+  // All rows/columns alive reproduces rank (i, m%c), step m/c exactly — on
+  // the (p, 1) grid of logical slots that is BlockPartition(k, p).
+  const index_t rows = grid.rows();
+  const int c = grid.replication();
+  std::vector<std::vector<int>> row_ranks;  // alive ranks per alive row
+  std::vector<index_t> alive_rows;
+  for (index_t i = 0; i < rows; ++i) {
+    std::vector<int> ranks;
+    for (int j = 0; j < c; ++j) {
+      const int r = grid.rank_of(static_cast<int>(i), j);
+      if (cluster.alive(r)) ranks.push_back(r);
     }
-  } else {
-    // §5.2: minibatches block-assigned to the alive process rows; each
-    // row's surviving replicas round-robin its block. All rows/columns
-    // alive reproduces rank (i, m%c), step m/c exactly.
-    const index_t rows = grid.rows();
-    const int c = grid.replication();
-    std::vector<std::vector<int>> row_ranks;  // alive ranks per alive row
-    std::vector<index_t> alive_rows;
-    for (index_t i = 0; i < rows; ++i) {
-      std::vector<int> ranks;
-      for (int j = 0; j < c; ++j) {
-        const int r = grid.rank_of(static_cast<int>(i), j);
-        if (cluster.alive(r)) ranks.push_back(r);
-      }
-      if (!ranks.empty()) {
-        alive_rows.push_back(i);
-        row_ranks.push_back(std::move(ranks));
-      }
+    if (!ranks.empty()) {
+      alive_rows.push_back(i);
+      row_ranks.push_back(std::move(ranks));
     }
-    check(!alive_rows.empty() || n == 0,
-          "StagedPipeline: every process row has crashed — cannot continue "
-          "the epoch");
-    const BlockPartition bp(
-        n, static_cast<index_t>(std::max<std::size_t>(1, alive_rows.size())));
-    for (std::size_t a = 0; a < alive_rows.size(); ++a) {
-      const std::vector<int>& ranks = row_ranks[a];
-      const auto nc = static_cast<index_t>(ranks.size());
-      const index_t lo = bp.begin(static_cast<index_t>(a));
-      const index_t hi = bp.end(static_cast<index_t>(a));
-      for (index_t m = lo; m < hi; ++m) {
-        const index_t local = m - lo;
-        placement_[static_cast<std::size_t>(remaining[static_cast<std::size_t>(m)])] =
-            Placement{ranks[static_cast<std::size_t>(local % nc)],
-                      boundary + local / nc};
-      }
-      if (hi > lo) {
-        max_steps = std::max(max_steps, boundary + ceil_div(hi - lo, nc));
-      }
+  }
+  check(!alive_rows.empty() || n == 0,
+        "StagedPipeline: every process row has crashed — cannot continue "
+        "the epoch");
+  const BlockPartition bp(
+      n, static_cast<index_t>(std::max<std::size_t>(1, alive_rows.size())));
+  for (std::size_t a = 0; a < alive_rows.size(); ++a) {
+    const std::vector<int>& ranks = row_ranks[a];
+    const auto nc = static_cast<index_t>(ranks.size());
+    const index_t lo = bp.begin(static_cast<index_t>(a));
+    const index_t hi = bp.end(static_cast<index_t>(a));
+    for (index_t m = lo; m < hi; ++m) {
+      const index_t local = m - lo;
+      placement_[static_cast<std::size_t>(remaining[static_cast<std::size_t>(m)])] =
+          Placement{ranks[static_cast<std::size_t>(local % nc)],
+                    boundary + local / nc};
+    }
+    if (hi > lo) {
+      max_steps = std::max(max_steps, boundary + ceil_div(hi - lo, nc));
     }
   }
 
@@ -138,11 +115,11 @@ bool StagedPipeline::recover_at_boundary(std::size_t g) {
     }
   }
   if (!changed) return false;
-  // Crash recovery is not supported across disaggregated roles: a dead
-  // sampler row loses adjacency blocks and a dead trainer its feature
-  // block, and neither re-partitioning is implemented. Transient loss and
-  // stragglers still apply (they never reach this path).
-  check(p_.cfg_.mode != DistMode::kDisaggregated,
+  // Crash recovery is not supported across separate sampler and trainer
+  // ranks: a dead sampler row loses adjacency blocks and a dead trainer its
+  // feature block, and neither re-partitioning is implemented. Transient
+  // loss and stragglers still apply (they never reach this path).
+  check(p_.roles_.first_trainer() == 0,
         "StagedPipeline: rank crash in disaggregated mode — crash recovery "
         "requires a colocated (replicated/partitioned) pipeline");
   for (int r = 0; r < p; ++r) {
@@ -185,7 +162,7 @@ EpochStats StagedPipeline::run_range(int epoch, index_t end_round,
   check(cursor->epoch == epoch,
         "StagedPipeline::run_range: cursor belongs to a different epoch");
   cluster.reset_clock();
-  if (p_.disagg_cluster_) p_.disagg_cluster_->reset_clock();
+  if (p_.owned_sampling_cluster_) p_.owned_sampling_cluster_->reset_clock();
   if (p_.pending_warmup_) {
     // The kPreSample warmup bills its one-time cost to the first trained
     // epoch as its own overhead phase: it reaches total_time() and the
@@ -285,9 +262,9 @@ EpochStats StagedPipeline::run_range(int epoch, index_t end_round,
   cursor->seen = seen_;
 
   EpochStats stats;
-  // The sampler → trainer handoff is part of every disaggregated round's
-  // cost (inside s_cost), so it belongs to the prefetchable `sampling` side
-  // of the overlap invariant.
+  // The sampler → trainer handoff is part of its round's cost (inside
+  // s_cost), so it belongs to the prefetchable `sampling` side of the
+  // overlap invariant.
   stats.sampling = cluster.phase_time(kPhaseSampling) +
                    cluster.phase_time(kPhaseProbability) +
                    cluster.phase_time(kPhaseExtraction) +
@@ -330,18 +307,11 @@ EpochStats StagedPipeline::run_range(int epoch, index_t end_round,
 
 double StagedPipeline::sample_round(const BulkRound& round,
                                     std::uint64_t epoch_seed) {
-  switch (p_.cfg_.mode) {
-    case DistMode::kReplicated:
-      return replicated_round(round, epoch_seed);
-    case DistMode::kPartitioned:
-      return partitioned_round(round, epoch_seed);
-    case DistMode::kDisaggregated:
-      return disaggregated_round(round, epoch_seed);
-  }
-  return 0.0;
+  return p_.sampling_cluster_ != nullptr ? cluster_round(round, epoch_seed)
+                                         : host_timed_round(round, epoch_seed);
 }
 
-double StagedPipeline::replicated_round(const BulkRound& round,
+double StagedPipeline::host_timed_round(const BulkRound& round,
                                         std::uint64_t epoch_seed) {
   Cluster& cluster = p_.cluster_;
   const double before = clock();
@@ -379,116 +349,87 @@ double StagedPipeline::replicated_round(const BulkRound& round,
   return clock() - before;
 }
 
-double StagedPipeline::partitioned_round(const BulkRound& round,
-                                         std::uint64_t epoch_seed) {
+double StagedPipeline::cluster_round(const BulkRound& round,
+                                     std::uint64_t epoch_seed) {
   Cluster& cluster = p_.cluster_;
+  Cluster& sampling = *p_.sampling_cluster_;
+  const RankRoles& roles = p_.roles_;
+  const bool handoff = &sampling != &cluster;
   const double before = clock();
-  const ProcessGrid& grid = cluster.grid();
+  const ProcessGrid& grid = roles.placement;
   const index_t rows = grid.rows();
   const int c = grid.replication();
   const double launch = cluster.cost_model().link().launch_overhead;
   const auto num_layers = static_cast<double>(p_.cfg_.fanouts.size());
 
-  // The round needs, for every process row, the batches placed at steps
-  // [step_begin, step_end) on the row's ranks. Sample content is
+  // The round's batches: those placed at steps [step_begin, step_end).
+  // sample_bulk splits the list into contiguous blocks, one per sampler
+  // row. On the main cluster the placement rows *are* the sampler rows, so
+  // the list runs row by row and each row samples the batches it trains;
+  // a separate sampler grid takes the list step by step. Sample content is
   // independent of which row materializes a batch (the determinism contract
-  // derives randomness from global batch ids), so the sub-epoch can be
-  // re-partitioned freely.
+  // derives randomness from global batch ids) — only the comm volumes move.
   std::vector<std::vector<index_t>> sub_batches;
   std::vector<index_t> sub_ids;
-  for (index_t i = 0; i < rows; ++i) {
-    for (index_t t = round.step_begin; t < round.step_end; ++t) {
-      for (int j = 0; j < c; ++j) {
-        const int r = grid.rank_of(static_cast<int>(i), j);
-        const index_t b = step_batches_[static_cast<std::size_t>(r)]
-                                       [static_cast<std::size_t>(t)];
-        if (b < 0) continue;
-        sub_batches.push_back((*batches_)[static_cast<std::size_t>(b)]);
-        sub_ids.push_back(b);
-      }
-    }
-  }
-  if (sub_batches.empty()) return 0.0;
-
-  auto per_row = p_.sampler_->sample_bulk(cluster, sub_batches, sub_ids, epoch_seed);
-  cluster.add_overhead(kPhaseSampling, launch * kKernelsPerLayer * num_layers);
-
-  // Concatenating the per-row results restores sub-batch order; place each
-  // sample at its queue position from the placement table.
-  std::size_t q = 0;
-  for (auto& row_samples : per_row) {
-    for (auto& ms : row_samples) {
-      const Placement& pl = placement_[static_cast<std::size_t>(sub_ids[q++])];
-      queues_[static_cast<std::size_t>(pl.rank)][static_cast<std::size_t>(pl.step)] =
-          std::move(ms);
-    }
-  }
-  return clock() - before;
-}
-
-double StagedPipeline::disaggregated_round(const BulkRound& round,
-                                           std::uint64_t epoch_seed) {
-  Cluster& cluster = p_.cluster_;
-  Cluster& sub = *p_.disagg_cluster_;
-  const DisaggLayout& layout = p_.disagg_;
-  const double before = clock();
-  const int p = cluster.size();
-  const double launch = cluster.cost_model().link().launch_overhead;
-  const auto num_layers = static_cast<double>(p_.cfg_.fanouts.size());
-
-  // The round's batches in (step, slot) order — the same logical schedule
-  // the replicated path trains; which sampler row materializes a batch is
-  // irrelevant to its content (the determinism contract).
-  std::vector<std::vector<index_t>> sub_batches;
-  std::vector<index_t> sub_ids;
-  for (index_t t = round.step_begin; t < round.step_end; ++t) {
-    for (int r = 0; r < p; ++r) {
-      const index_t b = step_batches_[static_cast<std::size_t>(r)]
-                                     [static_cast<std::size_t>(t)];
+  const auto take = [&](index_t i, index_t t) {
+    for (int j = 0; j < c; ++j) {
+      const int r = grid.rank_of(static_cast<int>(i), j);
+      const index_t b =
+          step_batches_[static_cast<std::size_t>(r)][static_cast<std::size_t>(t)];
       if (b < 0) continue;
       sub_batches.push_back((*batches_)[static_cast<std::size_t>(b)]);
       sub_ids.push_back(b);
     }
+  };
+  if (handoff) {
+    for (index_t t = round.step_begin; t < round.step_end; ++t) {
+      for (index_t i = 0; i < rows; ++i) take(i, t);
+    }
+  } else {
+    for (index_t i = 0; i < rows; ++i) {
+      for (index_t t = round.step_begin; t < round.step_end; ++t) take(i, t);
+    }
   }
   if (sub_batches.empty()) return 0.0;
 
-  // Sampler role: the partitioned algorithm runs over the sampler sub-grid
-  // and records on the sub-cluster, whose tables then drain raw into the
-  // main clock — one clock covers both roles.
-  auto per_row = p_.sampler_->sample_bulk(sub, sub_batches, sub_ids, epoch_seed);
-  sub.drain_into(cluster);
+  // A separate sampling cluster's tables drain raw into the main clock, so
+  // one clock covers both roles.
+  auto per_row = p_.sampler_->sample_bulk(sampling, sub_batches, sub_ids, epoch_seed);
+  if (handoff) sampling.drain_into(cluster);
   cluster.add_overhead(kPhaseSampling, launch * kKernelsPerLayer * num_layers);
 
-  // Handoff: each materialized sample streams from the sampler row that
-  // produced it to the trainer executing its slot. A trainer receives its
-  // samples serially (sum of p2p times); trainers receive concurrently
-  // (max). record_comm on the main cluster means transient-loss fault
-  // plans retry the handoff like any other modeled message.
+  // Concatenating the per-row results restores sub-batch order; place each
+  // sample at its queue position from the placement table. With a separate
+  // sampling cluster each sample also streams from the sampler row that
+  // produced it to the trainer executing its slot: a trainer receives its
+  // samples serially (sum of p2p times), trainers receive concurrently
+  // (max). record_comm on the main cluster means transient-loss fault plans
+  // retry the handoff like any other modeled message.
   const CostModel& model = cluster.cost_model();
-  std::vector<double> per_trainer(static_cast<std::size_t>(layout.trainers),
+  std::vector<double> per_trainer(static_cast<std::size_t>(roles.trainers()),
                                   0.0);
   std::size_t total_bytes = 0;
-  std::size_t total_msgs = 0;
   std::size_t q = 0;
-  int row_i = 0;
-  for (auto& row_samples : per_row) {
-    const int src = layout.sampler_rank(layout.sampler_grid.rank_of(row_i, 0));
-    for (auto& ms : row_samples) {
+  for (std::size_t row = 0; row < per_row.size(); ++row) {
+    const int src = sampling.grid().rank_of(static_cast<int>(row), 0);
+    for (auto& ms : per_row[row]) {
       const Placement& pl = placement_[static_cast<std::size_t>(sub_ids[q++])];
-      const int tj = layout.trainer_of_slot(pl.rank);  // pl.rank is the slot
-      const std::size_t bytes = sample_bytes(ms);
-      per_trainer[static_cast<std::size_t>(tj)] +=
-          model.p2p(src, layout.trainer_rank(tj), bytes);
-      total_bytes += bytes;
-      ++total_msgs;
+      if (handoff) {
+        const int tj = roles.trainer_of_slot(pl.rank);
+        const std::size_t bytes = sample_bytes(ms);
+        per_trainer[static_cast<std::size_t>(tj)] +=
+            model.p2p(src, roles.trainer_rank(tj), bytes);
+        total_bytes += bytes;
+      }
       queues_[static_cast<std::size_t>(pl.rank)][static_cast<std::size_t>(pl.step)] =
           std::move(ms);
     }
-    ++row_i;
   }
-  const double worst =
-      *std::max_element(per_trainer.begin(), per_trainer.end());
-  cluster.record_comm("handoff", worst, total_bytes, total_msgs);
+  if (handoff) {
+    cluster.record_comm("handoff",
+                        *std::max_element(per_trainer.begin(), per_trainer.end()),
+                        total_bytes, sub_ids.size());
+  }
   return clock() - before;
 }
 
@@ -496,35 +437,21 @@ double StagedPipeline::fetch_step(index_t t, std::vector<DenseF>& gathered) {
   Cluster& cluster = p_.cluster_;
   const double before = clock();
   const int p = cluster.size();
-  if (p_.cfg_.mode != DistMode::kDisaggregated) {
-    // Feature fetching: all-to-allv across process columns (§6.2).
-    std::vector<std::vector<index_t>> wanted(static_cast<std::size_t>(p));
-    for (int r = 0; r < p; ++r) {
-      const MinibatchSample& s =
-          queues_[static_cast<std::size_t>(r)][static_cast<std::size_t>(t)];
-      if (has_sample(s)) wanted[static_cast<std::size_t>(r)] = s.input_vertices();
-    }
-    gathered = p_.features_.fetch_all(cluster, wanted, "fetch");
-    return clock() - before;
-  }
-
-  // Disaggregated: the store spans only the t trainer ranks, and each
-  // trainer executes the p/t slots mapped to it sequentially — so step t's
-  // fetch runs as ceil(p/t) waves of the trainer-grid all-to-allv, wave w
-  // covering slots [w*t, w*t + t), one per trainer. Gathered matrices stay
-  // slot-indexed for train_step.
-  const DisaggLayout& layout = p_.disagg_;
-  const int trainers = layout.trainers;
-  std::vector<DenseF> slot_gathered(static_cast<std::size_t>(p));
+  // Feature fetching: all-to-allv across process columns of the trainer
+  // grid (§6.2). Each trainer executes the slots mapped to it sequentially,
+  // so step t's fetch runs as ceil(p/t) waves, wave w covering slots
+  // [w*t, w*t + t), one per trainer — a single wave when colocated.
+  // Gathered matrices stay slot-indexed for train_step.
+  const int trainers = p_.roles_.trainers();
+  gathered.assign(static_cast<std::size_t>(p), DenseF{});
   for (int w = 0; w * trainers < p; ++w) {
     std::vector<std::vector<index_t>> wanted(
         static_cast<std::size_t>(trainers));
     bool any = false;
-    for (int j = 0; j < trainers; ++j) {
-      const int slot = w * trainers + j;
-      if (slot >= p) break;
+    for (int j = 0; j < trainers && w * trainers + j < p; ++j) {
       const MinibatchSample& s =
-          queues_[static_cast<std::size_t>(slot)][static_cast<std::size_t>(t)];
+          queues_[static_cast<std::size_t>(w * trainers + j)]
+                 [static_cast<std::size_t>(t)];
       if (has_sample(s)) {
         wanted[static_cast<std::size_t>(j)] = s.input_vertices();
         any = true;
@@ -532,33 +459,29 @@ double StagedPipeline::fetch_step(index_t t, std::vector<DenseF>& gathered) {
     }
     if (!any) continue;
     auto wave = p_.features_.fetch_all(cluster, wanted, "fetch");
-    for (int j = 0; j < trainers; ++j) {
-      const int slot = w * trainers + j;
-      if (slot >= p) break;
-      slot_gathered[static_cast<std::size_t>(slot)] =
+    for (int j = 0; j < trainers && w * trainers + j < p; ++j) {
+      gathered[static_cast<std::size_t>(w * trainers + j)] =
           std::move(wave[static_cast<std::size_t>(j)]);
     }
   }
-  gathered = std::move(slot_gathered);
   return clock() - before;
 }
 
 double StagedPipeline::train_step(int epoch, std::size_t g, index_t t,
                                   const std::vector<DenseF>& gathered) {
   Cluster& cluster = p_.cluster_;
+  const RankRoles& roles = p_.roles_;
   const double before = clock();
   const int p = cluster.size();
   const std::size_t param_bytes = p_.model_.param_bytes();
-  const bool disagg = p_.cfg_.mode == DistMode::kDisaggregated;
 
-  // Propagation: fwd/bwd per rank, then gradient all-reduce. The slot loop
-  // (order, accumulation, averaging) is identical in every mode — that is
-  // the disaggregated loss bit-identity. Only the *timing* differs under
-  // disaggregation: a trainer executes its slots serially (sum), trainers
-  // run concurrently (max over trainers instead of max over slots).
-  std::vector<double> trainer_prop(
-      disagg ? static_cast<std::size_t>(p_.disagg_.trainers) : 0, 0.0);
-  double max_prop = 0.0;
+  // Propagation: fwd/bwd per slot, then gradient all-reduce. The slot loop
+  // (order, accumulation, averaging) is the same for every role layout —
+  // that is the disaggregated loss bit-identity. Only the *timing* follows
+  // the roles: a trainer executes its slots serially (sum), trainers run
+  // concurrently (max over trainers).
+  std::vector<double> trainer_prop(static_cast<std::size_t>(roles.trainers()),
+                                   0.0);
   int active = 0;
   for (int r = 0; r < p; ++r) {
     MinibatchSample& sample =
@@ -571,12 +494,8 @@ double StagedPipeline::train_step(int epoch, std::size_t g, index_t t,
     Timer timer;
     const LossResult res =
         p_.model_.train_step(sample, gathered[static_cast<std::size_t>(r)], labels);
-    if (disagg) {
-      trainer_prop[static_cast<std::size_t>(p_.disagg_.trainer_of_slot(r))] +=
-          timer.seconds();
-    } else {
-      max_prop = std::max(max_prop, timer.seconds());
-    }
+    trainer_prop[static_cast<std::size_t>(roles.trainer_of_slot(r))] +=
+        timer.seconds();
     if (!std::isfinite(res.loss)) {
       // Fatal: the GEMM paths agree bit for bit only on finite operands
       // (nn/gemm.hpp), and the optimizer would spread it into every weight.
@@ -593,26 +512,21 @@ double StagedPipeline::train_step(int epoch, std::size_t g, index_t t,
     sample = MinibatchSample{};  // trained — release the round's memory
   }
   if (active > 0) {
-    if (disagg) {
-      max_prop = *std::max_element(trainer_prop.begin(), trainer_prop.end());
-    }
+    const double max_prop =
+        *std::max_element(trainer_prop.begin(), trainer_prop.end());
     // Shared-model gradient accumulation across ranks == all-reduce sum;
-    // average and step once (identical to synchronous DDP). Only surviving
-    // ranks participate in the all-reduce — under disaggregation that is
-    // the trainer ranks [s, p): samplers hold no model replica.
+    // average and step once (identical to synchronous DDP). Only the alive
+    // trainer ranks hold a model replica and join the all-reduce.
     Timer timer;
     p_.model_.scale_grads(1.0f / static_cast<float>(active));
     p_.optimizer_->step(p_.model_.params());
     p_.model_.zero_grads();
     cluster.add_compute("propagation", max_prop + timer.seconds());
     std::vector<int> group;
-    if (disagg) {
-      group.reserve(static_cast<std::size_t>(p_.disagg_.trainers));
-      for (int j = 0; j < p_.disagg_.trainers; ++j) {
-        group.push_back(p_.disagg_.trainer_rank(j));
+    for (int j = 0; j < roles.trainers(); ++j) {
+      if (cluster.alive(roles.trainer_rank(j))) {
+        group.push_back(roles.trainer_rank(j));
       }
-    } else {
-      group = cluster.alive_ranks();
     }
     if (group.size() > 1) {
       cluster.record_comm(

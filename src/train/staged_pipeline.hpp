@@ -18,17 +18,27 @@
 // overlapped epoch performs bit-identical arithmetic to a synchronous one:
 // same samples, same gathered features, same optimizer updates, same loss.
 //
+// The executor reads the pipeline's RankRoles (dist/rank_roles.hpp), never
+// its DistMode. The colocated modes are the degenerate role layout — every
+// rank samples and trains, so the fetch is one wave and the sampling
+// cluster is the main one (or none) — and the disaggregated layout runs
+// the same code with a separate sampler grid: its rounds drain the sampling
+// sub-cluster into the main clock and hand the samples off to trainers, its
+// fetches run in waves of t trainers, and its propagation time is a max
+// over trainers of their slots' sum.
+//
 // Batch placement is an explicit table (batch id → (rank, step)) rather
 // than implicit block arithmetic. On a healthy cluster the table reproduces
-// the classic block assignment exactly (replicated: contiguous blocks per
-// rank; partitioned: contiguous blocks per process row, replicas
-// round-robining the block). The table is what makes crash recovery a local
-// operation: each bulk-round boundary is a Cluster superstep, and when a
-// rank dies there the not-yet-sampled remainder of the epoch is
-// re-partitioned onto the survivors and the remaining rounds re-planned
-// through plan_bulk_rounds — the degrade-and-continue path. Sample content
-// never depends on placement (randomness derives from global batch ids), so
-// re-partitioning shifts work, not results.
+// the classic block assignment over the roles' placement grid exactly
+// (contiguous blocks per process row, replicas round-robining the block; on
+// the (p, 1) grid of logical slots, contiguous blocks per slot). The table
+// is what makes crash recovery a local operation: each bulk-round boundary
+// is a Cluster superstep, and when a rank dies there the not-yet-sampled
+// remainder of the epoch is re-partitioned onto the survivors and the
+// remaining rounds re-planned through plan_bulk_rounds — the
+// degrade-and-continue path. Sample content never depends on placement
+// (randomness derives from global batch ids), so re-partitioning shifts
+// work, not results.
 //
 // Accounting invariant (tested): for an overlapped epoch,
 //   overlap_saved + stall == sampling + fetch
@@ -75,14 +85,17 @@ class StagedPipeline {
   /// Samples the minibatches covering `round`'s training steps into the
   /// per-rank queues; returns the simulated seconds the round cost.
   double sample_round(const BulkRound& round, std::uint64_t epoch_seed);
-  double replicated_round(const BulkRound& round, std::uint64_t epoch_seed);
-  double partitioned_round(const BulkRound& round, std::uint64_t epoch_seed);
-  /// kDisaggregated: samples on the sampler-role sub-cluster, drains its
-  /// clock into the main one, and streams the materialized samples to their
-  /// trainers as the modeled "handoff" comm phase.
-  double disaggregated_round(const BulkRound& round, std::uint64_t epoch_seed);
+  /// No sampling cluster: each rank samples its batches with zero comm,
+  /// host-timed; the round costs the max over ranks.
+  double host_timed_round(const BulkRound& round, std::uint64_t epoch_seed);
+  /// Samples on the roles' sampling cluster. A separate (owned) sampling
+  /// cluster additionally drains its clock into the main one and streams
+  /// the materialized samples to their trainers as the modeled "handoff"
+  /// comm phase.
+  double cluster_round(const BulkRound& round, std::uint64_t epoch_seed);
 
-  /// Issues the feature fetch for step t; returns the simulated seconds.
+  /// Issues the feature fetch for step t, in waves of the trainer count;
+  /// fills `gathered` slot-indexed and returns the simulated seconds.
   double fetch_step(index_t t, std::vector<DenseF>& gathered);
 
   /// Propagation + optimizer for step t of bulk round g (accumulates

@@ -1,8 +1,9 @@
 // DistMode::kDisaggregated (DESIGN.md §14): sampler/trainer rank roles.
-// Layout construction and validation, the bit-identity contract against
-// kReplicated across sampler kinds and splits, the handoff comm phase,
-// fault behavior (transient loss retries transparently, crashes are
-// rejected), and checkpoint/resume mid-epoch.
+// Role construction and validation (the colocated modes as the degenerate
+// case), the bit-identity contract against kReplicated across sampler kinds
+// and splits, the handoff comm phase, fault behavior (transient loss
+// retries transparently, crashes are rejected), and checkpoint/resume
+// mid-epoch.
 #include <gtest/gtest.h>
 
 #include <unistd.h>
@@ -12,7 +13,7 @@
 #include <vector>
 
 #include "comm/faults.hpp"
-#include "dist/disagg.hpp"
+#include "dist/rank_roles.hpp"
 #include "graph/dataset.hpp"
 #include "test_util.hpp"
 #include "train/checkpoint.hpp"
@@ -41,17 +42,15 @@ PipelineConfig config_for(SamplerKind kind, DistMode mode) {
   return cfg;
 }
 
-TEST(DisaggLayout, AutoSplitFollowsTheDocumentedDefaults) {
-  const DisaggLayout l = make_disagg_layout(ProcessGrid(8, 2));
-  EXPECT_EQ(l.total, 8);
-  EXPECT_EQ(l.samplers, 2);  // auto: max(1, p/4)
-  EXPECT_EQ(l.trainers, 6);
+TEST(RankRoles, AutoSplitFollowsTheDocumentedDefaults) {
+  const RankRoles l = make_rank_roles(DistMode::kDisaggregated, ProcessGrid(8, 2));
+  EXPECT_EQ(l.samplers(), 2);  // auto: max(1, p/4)
+  EXPECT_EQ(l.trainers(), 6);
   EXPECT_EQ(l.sampler_grid.rows(), 2);
   EXPECT_EQ(l.sampler_grid.replication(), 1);  // auto c_s: 1
   EXPECT_EQ(l.trainer_grid.rows(), 3);
   EXPECT_EQ(l.trainer_grid.replication(), 2);  // largest divisor of 6 <= c
   // Global rank mapping: samplers first, then trainers.
-  EXPECT_EQ(l.sampler_rank(1), 1);
   EXPECT_EQ(l.trainer_rank(0), 2);
   EXPECT_EQ(l.trainer_rank(5), 7);
   // Slots dealt in waves of t keep per-step trainer load balanced.
@@ -59,29 +58,62 @@ TEST(DisaggLayout, AutoSplitFollowsTheDocumentedDefaults) {
   EXPECT_EQ(l.trainer_of_slot(5), 5);
   EXPECT_EQ(l.trainer_of_slot(6), 0);
 
-  const DisaggLayout tiny = make_disagg_layout(ProcessGrid(4, 2));
-  EXPECT_EQ(tiny.samplers, 1);
-  EXPECT_EQ(tiny.trainers, 3);
+  const RankRoles tiny = make_rank_roles(DistMode::kDisaggregated, ProcessGrid(4, 2));
+  EXPECT_EQ(tiny.samplers(), 1);
+  EXPECT_EQ(tiny.trainers(), 3);
   EXPECT_EQ(tiny.trainer_grid.replication(), 1);  // 2 does not divide 3
 }
 
-TEST(DisaggLayout, RejectsInvalidSplits) {
+TEST(RankRoles, ColocatedModesAreTheDegenerateCase) {
+  // Every rank samples and trains, the trainer grid is the cluster grid,
+  // and trainer_of_slot is the identity. Only the placement grid and the
+  // sampling cluster tell the two colocated modes apart.
   const ProcessGrid full(8, 2);
+  for (const DistMode mode : {DistMode::kReplicated, DistMode::kPartitioned}) {
+    const RankRoles r = make_rank_roles(mode, full);
+    EXPECT_EQ(r.trainers(), 8) << to_string(mode);
+    EXPECT_EQ(r.trainer_grid.replication(), 2) << to_string(mode);
+    EXPECT_EQ(r.first_trainer(), 0) << to_string(mode);
+    for (int rank = 0; rank < 8; ++rank) {
+      EXPECT_TRUE(r.samples(rank) && r.trains(rank)) << to_string(mode);
+      EXPECT_EQ(r.trainer_rank(rank), rank) << to_string(mode);
+      EXPECT_EQ(r.trainer_of_slot(rank), rank) << to_string(mode);
+    }
+  }
+  const RankRoles rep = make_rank_roles(DistMode::kReplicated, full);
+  EXPECT_EQ(rep.placement.rows(), 8);  // logical slots: rank_of(i, 0) == i
+  EXPECT_EQ(rep.sampling, SamplingCluster::kNone);
+  const RankRoles part = make_rank_roles(DistMode::kPartitioned, full);
+  EXPECT_EQ(part.placement.rows(), 4);
+  EXPECT_EQ(part.placement.replication(), 2);
+  EXPECT_EQ(part.sampling, SamplingCluster::kMain);
+  const RankRoles dis = make_rank_roles(DistMode::kDisaggregated, full);
+  EXPECT_EQ(dis.placement.rows(), 8);
+  EXPECT_EQ(dis.sampling, SamplingCluster::kOwned);
+  EXPECT_TRUE(dis.samples(1) && !dis.trains(1));
+  EXPECT_TRUE(!dis.samples(2) && dis.trains(2));
+}
+
+TEST(RankRoles, RejectsInvalidSplits) {
+  const ProcessGrid full(8, 2);
+  const auto roles = [&](const DisaggOptions& opts) {
+    return make_rank_roles(DistMode::kDisaggregated, full, opts);
+  };
   DisaggOptions opts;
   opts.sampler_ranks = 8;  // s must leave at least one trainer
-  EXPECT_THROW(make_disagg_layout(full, opts), DmsError);
+  EXPECT_THROW(roles(opts), DmsError);
   opts.sampler_ranks = 9;
-  EXPECT_THROW(make_disagg_layout(full, opts), DmsError);
+  EXPECT_THROW(roles(opts), DmsError);
   opts.sampler_ranks = -3;  // negative is an error, not auto (0 is auto)
-  EXPECT_THROW(make_disagg_layout(full, opts), DmsError);
+  EXPECT_THROW(roles(opts), DmsError);
   opts = {};
   opts.sampler_ranks = 2;
   opts.sampler_c = 3;  // c_s must divide s
-  EXPECT_THROW(make_disagg_layout(full, opts), DmsError);
+  EXPECT_THROW(roles(opts), DmsError);
   opts = {};
   opts.sampler_ranks = 2;
   opts.trainer_c = 4;  // c_t must divide t = 6
-  EXPECT_THROW(make_disagg_layout(full, opts), DmsError);
+  EXPECT_THROW(roles(opts), DmsError);
 }
 
 TEST(Disagg, LossesBitIdenticalToReplicatedForEverySamplerKind) {

@@ -1,6 +1,10 @@
 // End-to-end pipeline: epoch mechanics, phase accounting, bulk-k and
-// sampler invariance, and learning on the planted dataset.
+// sampler invariance, learning on the planted dataset, and the per-rank
+// memory model of every mode.
 #include <gtest/gtest.h>
+
+#include <utility>
+#include <vector>
 
 #include "graph/dataset.hpp"
 #include "test_util.hpp"
@@ -184,6 +188,48 @@ TEST(Pipeline, PerRankBytesLargerWhenReplicated) {
   Cluster c2(ProcessGrid(4, 1), CostModel(LinkParams{}));
   Pipeline partitioned(c2, ds, cfg);
   EXPECT_GT(replicated.per_rank_bytes(0), partitioned.per_rank_bytes(0));
+}
+
+TEST(Pipeline, PerRankBytesArePinnedPerMode) {
+  // p=8, c=2 with a 32-row cache. Replicated: every rank holds the whole
+  // adjacency plus model, feature block and cache. Partitioned: one
+  // adjacency block row instead of the whole graph (ranks j*rows + i share
+  // row i). Disaggregated (auto split: 2 samplers, 6 trainers at c_t=2):
+  // sampler ranks hold only their adjacency block, trainer ranks model,
+  // feature block and cache with no adjacency.
+  const Dataset ds = small_planted();
+  const std::vector<std::pair<DistMode, std::vector<std::size_t>>> cases = {
+      {DistMode::kReplicated,
+       {135256, 135256, 135256, 135256, 135256, 135256, 135256, 135256}},
+      {DistMode::kPartitioned,
+       {38456, 38808, 39032, 39192, 38456, 38808, 39032, 39192}},
+      {DistMode::kDisaggregated,
+       {63784, 64744, 8112, 8112, 8080, 8112, 8112, 8080}},
+  };
+  for (const auto& [mode, want] : cases) {
+    PipelineConfig cfg = small_config();
+    cfg.mode = mode;
+    cfg.feature_cache = {CachePolicy::kLru, 32};
+    Cluster cluster(ProcessGrid(8, 2), CostModel(LinkParams{}));
+    Pipeline pipe(cluster, ds, cfg);
+    for (int r = 0; r < 8; ++r) {
+      EXPECT_EQ(pipe.per_rank_bytes(r), want[static_cast<std::size_t>(r)])
+          << to_string(mode) << " rank " << r;
+    }
+  }
+}
+
+TEST(Pipeline, PerRankBytesRejectsRanksOutsideTheCluster) {
+  const Dataset ds = small_planted();
+  for (const DistMode mode : testutil::kAllDistModes) {
+    PipelineConfig cfg = small_config();
+    cfg.mode = mode;
+    Cluster cluster(ProcessGrid(4, 2), CostModel(LinkParams{}));
+    Pipeline pipe(cluster, ds, cfg);
+    EXPECT_THROW(pipe.per_rank_bytes(-1), DmsError) << to_string(mode);
+    EXPECT_THROW(pipe.per_rank_bytes(4), DmsError) << to_string(mode);
+    EXPECT_GT(pipe.per_rank_bytes(3), 0u) << to_string(mode);
+  }
 }
 
 TEST(Pipeline, EvaluateRejectsWrongDepth) {

@@ -134,10 +134,10 @@ TEST(SamplerFactory, PartitionedMatchesReplicatedThroughCommonInterface) {
 TEST(SamplerFactory, EveryKindIsPlacedByMode) {
   // Every algorithm × execution mode is constructible, and the mode alone
   // decides placement: replicated has no grid; partitioned uses ctx.grid;
-  // disaggregated uses the sampler sub-grid of the disaggregated layout.
+  // disaggregated uses the sampler sub-grid of the disaggregated roles.
   const Graph g = test_graph();
   const ProcessGrid grid(4, 2);
-  const DisaggLayout layout = make_disagg_layout(grid);
+  const RankRoles layout = make_rank_roles(DistMode::kDisaggregated, grid);
   const SamplerContext ctx = make_context(&grid);
   for (const SamplerKind kind : testutil::kAllSamplerKinds) {
     EXPECT_FALSE(make_sampler(kind, DistMode::kReplicated, g, ctx)->partitioned())

@@ -3,12 +3,15 @@
 // overlapped and synchronous paths must produce bit-identical per-epoch
 // loss/accuracy (overlap changes only the simulated clock), caching must
 // never change training, the cache accounting must cover every requested
-// feature row exactly once, the EpochStats clock invariants must hold, and
-// a non-finite loss must stop the epoch naming where it arose.
+// feature row exactly once, the EpochStats clock invariants must hold, the
+// modeled comm volumes of every mode are pinned, and a non-finite loss must
+// stop the epoch naming where it arose.
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <map>
 #include <string>
+#include <utility>
 
 #include "graph/dataset.hpp"
 #include "test_util.hpp"
@@ -152,6 +155,80 @@ TEST(StagedPipeline, OverlapHidesPrefetchableTime) {
   EXPECT_GT(s_ovl.overlap_saved, 0.0);
   EXPECT_LT(s_ovl.total, s_sync.total);
   testutil::expect_epoch_stats_consistent(s_ovl);
+}
+
+/// One epoch's modeled volumes: integers of the α–β model (DESIGN.md §2),
+/// independent of host timing and thread count.
+struct Volumes {
+  std::size_t fetch_bytes, cache_hits, cache_misses, cache_local;
+  /// comm phase → (bytes, messages)
+  std::map<std::string, std::pair<std::size_t, std::size_t>> comm;
+};
+
+TEST(StagedPipeline, ModeledCommVolumesArePinnedPerMode) {
+  // Losses cannot see which process row sampled which batch, but the comm
+  // volumes can: the placement table, the per-mode batch order inside a
+  // bulk round and the disaggregated handoff all move these integers. An
+  // 8-rank (p=8, c=2) grid, batch 4 and bulk_k 16 give 64 batches over four
+  // two-step rounds; the disaggregated split auto-sizes to 2 samplers and 6
+  // trainers, so every step fetches in two waves.
+  const Dataset ds = small_planted();
+  struct Case {
+    SamplerKind kind;
+    DistMode mode;
+    Volumes want;
+  };
+  const std::vector<Case> cases = {
+      {SamplerKind::kGraphSage, DistMode::kReplicated,
+       {125952, 77, 3936, 1317,
+        {{"fetch", {125952, 191}}, {"propagation", {103424, 112}}}}},
+      {SamplerKind::kGraphSage, DistMode::kPartitioned,
+       {131776, 48, 4118, 1164,
+        {{"fetch", {131776, 191}},
+         {"probability", {695832, 256}},
+         {"propagation", {103424, 112}}}}},
+      {SamplerKind::kGraphSage, DistMode::kDisaggregated,
+       {107232, 90, 3351, 1889,
+        {{"fetch", {107232, 128}},
+         {"handoff", {177864, 64}},
+         {"probability", {190640, 32}},
+         {"propagation", {77568, 80}}}}},
+      {SamplerKind::kLadies, DistMode::kReplicated,
+       {53696, 80, 1678, 540,
+        {{"fetch", {53696, 175}}, {"propagation", {17408, 112}}}}},
+      {SamplerKind::kLadies, DistMode::kPartitioned,
+       {54720, 85, 1710, 503,
+        {{"extraction", {105328, 128}},
+         {"fetch", {54720, 171}},
+         {"probability", {112592, 128}},
+         {"propagation", {17408, 112}}}}},
+      {SamplerKind::kLadies, DistMode::kDisaggregated,
+       {44192, 77, 1381, 840,
+        {{"extraction", {36512, 16}},
+         {"fetch", {44192, 128}},
+         {"handoff", {60048, 64}},
+         {"probability", {34608, 16}},
+         {"propagation", {13056, 80}}}}},
+  };
+  for (const Case& c : cases) {
+    const std::string ctx = to_string(c.kind) + "/" + to_string(c.mode);
+    PipelineConfig cfg = config_for(c.kind, c.mode);
+    cfg.batch_size = 4;
+    cfg.bulk_k = 16;
+    cfg.feature_cache = {CachePolicy::kLru, 32};
+    Cluster cluster(ProcessGrid(8, 2), CostModel(LinkParams{}));
+    Pipeline pipe(cluster, ds, cfg);
+    const EpochStats s = pipe.run_epoch(0);
+    EXPECT_EQ(s.fetch_bytes, c.want.fetch_bytes) << ctx;
+    EXPECT_EQ(s.cache_hits, c.want.cache_hits) << ctx;
+    EXPECT_EQ(s.cache_misses, c.want.cache_misses) << ctx;
+    EXPECT_EQ(s.cache_local, c.want.cache_local) << ctx;
+    std::map<std::string, std::pair<std::size_t, std::size_t>> got;
+    for (const auto& [phase, st] : cluster.comm_stats()) {
+      got[phase] = {st.bytes, st.messages};
+    }
+    EXPECT_EQ(got, c.want.comm) << ctx;
+  }
 }
 
 TEST(StagedPipeline, NonFiniteLossFailsFastNamingThePosition) {
