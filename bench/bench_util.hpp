@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "graph/dataset.hpp"
+#include "sparse/spgemm_engine.hpp"
 #include "train/pipeline.hpp"
 
 namespace dms::bench {
@@ -89,6 +90,23 @@ inline std::vector<RunPoint> fig4_points(const std::string& ds) {
   // protein: memory-capped small k at low p (§8.1.1)
   return {{4, 1, 0.03}, {8, 2, 0.06}, {16, 2, 0.12},
           {32, 2, 0.25}, {64, 4, 0.5}, {128, 8, 1.0}};
+}
+
+/// The extraction A[rows, mask] as the plan executor runs it: each row
+/// restricted to the sorted mask by append_masked_row, columns renumbered
+/// to mask positions, values passed through.
+inline CsrMatrix masked_row_gather(const CsrMatrix& a,
+                                   const std::vector<index_t>& rows,
+                                   const std::vector<index_t>& mask) {
+  std::vector<nnz_t> rowptr(rows.size() + 1, 0);
+  std::vector<index_t> cols;
+  std::vector<value_t> vals;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rowptr[i + 1] = rowptr[i] + append_masked_row(a, rows[i], mask, cols, vals);
+  }
+  return CsrMatrix(static_cast<index_t>(rows.size()),
+                   static_cast<index_t>(mask.size()), std::move(rowptr),
+                   std::move(cols), std::move(vals));
 }
 
 inline void print_header(const std::string& title) {

@@ -1,7 +1,8 @@
 // Plan-executor overhead + optimizer microbench (plain main, no Google
 // Benchmark). Two comparisons:
-//  (a) plan executor vs a hand-rolled "direct" loop replaying the pre-IR
-//      GraphSAGE/LADIES call sequence — the IR abstraction must stay free;
+//  (a) plan executor vs a hand-rolled "direct" loop running the same
+//      GraphSAGE/LADIES kernels (the LADIES extraction is the masked row
+//      gather the executor runs) — the IR abstraction must stay free;
 //  (b) optimized vs unoptimized plan execution (the DESIGN.md §12 pass
 //      pipeline) on the LADIES and FastGCN shapes — the optimizer must be
 //      bit-identical and must not lose to the unfused plans it replaced.
@@ -34,7 +35,7 @@
 namespace dms {
 namespace {
 
-// --- direct references: the pre-IR sampler bodies, inlined -----------------
+// --- direct references: the sampler bodies as plain kernel calls ----------
 
 std::vector<MinibatchSample> direct_sage(
     const Graph& graph, const SamplerConfig& cfg,
@@ -101,11 +102,7 @@ std::vector<MinibatchSample> direct_ladies(
     for (index_t i = 0; i < k; ++i) {
       const auto& rows = current[static_cast<std::size_t>(i)];
       std::vector<index_t> sampled(qs.row_cols(i).begin(), qs.row_cols(i).end());
-      const CsrMatrix qr = CsrMatrix::one_nonzero_per_row(n, rows);
-      SpgemmOptions mopts;
-      mopts.column_mask = &sampled;
-      mopts.workspace = &ws;
-      const CsrMatrix a_s = spgemm(qr, graph.adjacency(), mopts);
+      const CsrMatrix a_s = bench::masked_row_gather(graph.adjacency(), rows, sampled);
       LayerSample layer = ladies_assemble_layer(rows, sampled, a_s);
       current[static_cast<std::size_t>(i)] = layer.col_vertices;
       out[static_cast<std::size_t>(i)].layers.push_back(std::move(layer));
@@ -301,7 +298,7 @@ int run(bool smoke, const std::string& json_path) {
   // LADIES is the shape the optimizer was built for (normalize + slice
   // fusion drop its body from 7 to 5 ops and move the row normalization
   // into the engine's parallel per-block epilogue); FastGCN has nothing to
-  // fuse, so it measures the pipeline's no-op cost (stamping only).
+  // fuse, so it measures the pipeline's no-op cost (analysis stamping only).
   const SamplePlan ladies_plan = build_ladies_plan();
   const SamplePlan fastgcn_plan = build_fastgcn_plan();
   const std::vector<value_t> fg_weights = fastgcn_importance_prefix(ds.graph);

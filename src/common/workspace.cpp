@@ -77,8 +77,7 @@ void Workspace::check_steady([[maybe_unused]] const char* where) const {
 }
 
 std::size_t Workspace::bytes_held() const {
-  std::size_t b = vec_bytes(shared_prefix_) + vec_bytes(shared_lookup_) +
-                  walk_.bytes();
+  std::size_t b = vec_bytes(shared_prefix_) + walk_.bytes();
   for (const auto& s : slots_) b += s->bytes();
   return b;
 }

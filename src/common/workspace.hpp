@@ -10,7 +10,7 @@
 //
 // Layout: one Workspace holds
 //  - a few *shared* buffers used serially before/after a kernel's parallel
-//    region (flop prefixes, block bounds, the masked-kernel column lookup);
+//    region (flop prefixes, block bounds);
 //  - an array of *slots*, one per parallel block. Slot i is touched only by
 //    the worker executing block i, so slots need no synchronization; the
 //    kernel calls ensure_slots(nblocks) serially before fanning out.
@@ -80,7 +80,7 @@ struct WorkspaceSlot {
   std::vector<nnz_t> row_nnz;
   std::vector<index_t> colidx;
   std::vector<value_t> vals;
-  // Dense / masked accumulator state (mark + value + touched list).
+  // Dense accumulator state (mark + value + touched list).
   std::vector<index_t> mark;
   std::vector<index_t> touched;
   std::vector<value_t> acc;
@@ -139,7 +139,6 @@ class Workspace {
 
   /// Shared serial-phase buffers (one kernel invocation at a time).
   std::vector<nnz_t>& shared_prefix() { return shared_prefix_; }
-  std::vector<index_t>& shared_lookup() { return shared_lookup_; }
 
   /// Walk-engine scratch (same one-invocation-at-a-time contract; the walk
   /// kernel is serial, so no per-slot isolation is needed).
@@ -152,7 +151,6 @@ class Workspace {
  private:
   std::vector<std::unique_ptr<WorkspaceSlot>> slots_;
   std::vector<nnz_t> shared_prefix_;
-  std::vector<index_t> shared_lookup_;
   WalkScratch walk_;
   bool frozen_ = false;
   std::size_t frozen_bytes_ = 0;

@@ -340,12 +340,6 @@ std::vector<CsrMatrix> spgemm_15d(Cluster& cluster,
     check(q.cols() == a.rows(), "spgemm_15d: Q block columns must equal A rows");
   }
 
-  // A column mask would renumber each panel product into mask space while
-  // the empty-panel shortcut and the cross-panel reduction still assume the
-  // full a.cols() column space — reject it up front.
-  check(opts.local.column_mask == nullptr,
-        "spgemm_15d: local SpgemmOptions must not carry a column_mask");
-
   const BlockPartition& apart = a.partition();
   const auto panel = [&](index_t i, index_t k) {
     return column_window(q_blocks[static_cast<std::size_t>(i)], apart.begin(k),

@@ -164,15 +164,47 @@ RowSeedFn make_row_seed(const FrontierStack* stack,
   };
 }
 
-/// Adjacency row (columns) of global vertex g in either mode. Partitioned
+/// Where global vertex g's adjacency row lives in either mode: row g of the
+/// replicated matrix, or the local row of its owner block. Partitioned
 /// execution reads the owner block directly — every process column stores
 /// whole block rows, so the read models an intra-column fetch whose cost is
 /// accounted separately (model_dist_row_fetch).
-std::span<const index_t> adj_row_cols(const RunCtx& ctx, index_t g) {
-  if (ctx.adj != nullptr) return ctx.adj->row_cols(g);
+struct AdjRow {
+  const CsrMatrix& m;
+  index_t r;
+};
+
+AdjRow adj_row(const RunCtx& ctx, index_t g) {
+  if (ctx.adj != nullptr) return {*ctx.adj, g};
   const BlockPartition& part = ctx.dadj->partition();
   const index_t owner = part.owner(g);
-  return ctx.dadj->block(owner).row_cols(g - part.begin(owner));
+  return {ctx.dadj->block(owner), g - part.begin(owner)};
+}
+
+std::span<const index_t> adj_row_cols(const RunCtx& ctx, index_t g) {
+  const AdjRow a = adj_row(ctx, g);
+  return a.m.row_cols(a.r);
+}
+
+/// A[rows, S]: each row read through adj_row and restricted to the sampled
+/// set S (append_masked_row), columns renumbered to positions in S, values
+/// passed through. This is the extraction product (Q_R·A)[:, S] — Q_R has
+/// one 1.0 per row, so the product is a row gather — and the one way every
+/// extraction op reads the adjacency. `who` names the op in mask errors.
+CsrMatrix gather_masked_rows(const RunCtx& ctx, const std::string& who,
+                             const std::vector<index_t>& rows,
+                             const std::vector<index_t>& mask) {
+  check_mask(mask, ctx.n, who.c_str());
+  std::vector<nnz_t> rowptr(rows.size() + 1, 0);
+  std::vector<index_t> cols;
+  std::vector<value_t> vals;
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const AdjRow a = adj_row(ctx, rows[i]);
+    rowptr[i + 1] = rowptr[i] + append_masked_row(a.m, a.r, mask, cols, vals);
+  }
+  return CsrMatrix(static_cast<index_t>(rows.size()),
+                   static_cast<index_t>(mask.size()), std::move(rowptr),
+                   std::move(cols), std::move(vals));
 }
 
 /// Models the remote-row fetches of a row-local op in partitioned mode:
@@ -247,7 +279,6 @@ void exec_spgemm(RunCtx& ctx, const PlanOp& op) {
               std::to_string(ctx.adj->rows()));
     SpgemmOptions sopts;
     sopts.workspace = ctx.ws;
-    sopts.cost = op.cost;
     if (op.fused_norm) {
       // Absorbed kNormalize runs as the engine's per-block epilogue: the
       // same per-row arithmetic, but parallel across blocks on
@@ -290,7 +321,6 @@ void exec_spgemm_15d(RunCtx& ctx, const PlanOp& op) {
   sopts.phase = op.phase;
   sopts.local = ctx.local;
   sopts.local.workspace = ctx.ws;
-  sopts.local.cost = op.cost;
   auto products = spgemm_15d(*ctx.cluster, blocks, *ctx.dadj, sopts);
   for (std::size_t i = 0; i < rows; ++i) {
     if (ctx.rows[i].stopped) continue;
@@ -454,16 +484,12 @@ void exec_masked_extract(RunCtx& ctx, const PlanOp& op) {
     const auto& sets = resolve_sampled_sets(ctx, r, op);
     PlanValue& out = slot_ref(ctx, r, op.out, op);
     out.kind = PlanValue::Kind::kMatrixList;
-    out.mats.assign(r.out.size(), CsrMatrix());
+    out.mats.resize(r.out.size());
+    const std::string who = op_where(ctx, op);
     for (std::size_t b = 0; b < r.out.size(); ++b) {
-      // Fused A_S = (Q_R·A)[:, S]: the engine's masked kernel computes only
-      // the sampled columns; sampled ids come from a CSR row / ascending
-      // ITS output, satisfying the sorted-and-distinct mask contract.
-      const CsrMatrix qr = CsrMatrix::one_nonzero_per_row(ctx.n, frontier[b]);
-      SpgemmOptions mopts;
-      mopts.column_mask = &sets[b];
-      mopts.workspace = ctx.ws;
-      out.mats[b] = spgemm(qr, *ctx.adj, mopts);
+      // Sampled ids come from a CSR row / ascending ITS output, satisfying
+      // the sorted-and-distinct mask contract.
+      out.mats[b] = gather_masked_rows(ctx, who, frontier[b], sets[b]);
     }
   });
 }
@@ -589,54 +615,26 @@ void exec_walk_advance(RunCtx& ctx, const PlanOp& op) {
   });
 }
 
-/// extract_rows against the partitioned adjacency: assembles the rows of
-/// `vs` from their owner blocks (values pass through — block rows are
-/// slices of the global matrix, so the result is bit-identical to the
-/// replicated extraction).
-CsrMatrix extract_rows_dist(const RunCtx& ctx, const std::vector<index_t>& vs) {
-  const BlockPartition& part = ctx.dadj->partition();
-  std::vector<nnz_t> rowptr(vs.size() + 1, 0);
-  std::vector<index_t> cols;
-  std::vector<value_t> vals;
-  for (std::size_t i = 0; i < vs.size(); ++i) {
-    const index_t owner = part.owner(vs[i]);
-    const CsrMatrix& blk = ctx.dadj->block(owner);
-    const index_t lr = vs[i] - part.begin(owner);
-    const auto rc = blk.row_cols(lr);
-    const auto rv = blk.row_vals(lr);
-    cols.insert(cols.end(), rc.begin(), rc.end());
-    vals.insert(vals.end(), rv.begin(), rv.end());
-    rowptr[i + 1] = static_cast<nnz_t>(cols.size());
-  }
-  return CsrMatrix(static_cast<index_t>(vs.size()), ctx.n, std::move(rowptr),
-                   std::move(cols), std::move(vals));
-}
-
 void exec_induced_layers(RunCtx& ctx, const PlanOp& op) {
   std::size_t comm_bytes = 0, comm_msgs = 0;
   double comm_sec = 0.0;
   rows_op(ctx, op, [&](RowState& r, std::size_t i) {
     auto& visited = as_lists(ctx, r, ctx.plan.visited_slot, op);
+    const std::string who = op_where(ctx, op);
     double row_sec = 0.0;
     for (std::size_t b = 0; b < r.out.size(); ++b) {
       auto& vs = visited[b];
       std::sort(vs.begin(), vs.end());
       vs.erase(std::unique(vs.begin(), vs.end()), vs.end());
-      // Induced subgraph A[V_s, V_s]: row extraction + the engine's masked
-      // column extraction (values pass through — bit-identical to slicing).
-      CsrMatrix rows_m;
-      if (ctx.adj != nullptr) {
-        rows_m = extract_rows(*ctx.adj, vs);
-      } else {
-        rows_m = extract_rows_dist(ctx, vs);
+      // Induced subgraph A[V_s, V_s]: the masked row gather with V_s as both
+      // the rows and the mask (block rows are slices of the global matrix,
+      // so both modes give the same bits).
+      if (ctx.cluster != nullptr) {
         row_sec += model_dist_row_fetch(ctx, i, vs, true, &comm_bytes,
                                         &comm_msgs);
       }
-      SpgemmOptions mopts;
-      mopts.workspace = ctx.ws;
-      const CsrMatrix induced = spgemm_masked(rows_m, vs, mopts);
       LayerSample layer;
-      layer.adj = induced;
+      layer.adj = gather_masked_rows(ctx, who, vs, vs);
       layer.row_vertices = vs;
       layer.col_vertices = vs;
       r.out[b].batch_vertices = vs;  // train on every subgraph vertex
@@ -647,54 +645,6 @@ void exec_induced_layers(RunCtx& ctx, const PlanOp& op) {
   });
   if (ctx.cluster != nullptr && comm_msgs > 0) {
     ctx.cluster->record_comm(op.phase, comm_sec, comm_bytes, comm_msgs);
-  }
-}
-
-/// Peephole fusion (replicated path): a kMaskedExtract immediately consumed
-/// by a kFrontierUnion/kSampledSets runs per batch as extract→assemble
-/// without materializing the per-batch matrix list — the allocation/live-set
-/// profile of the hand-written samplers the IR replaced (micro_plan gates
-/// the executor overhead this keeps near zero). Results are identical to
-/// the unfused ops; only op-stat attribution is computed from the two
-/// accumulated timers.
-bool fusable_masked_union(const RunCtx& ctx, const PlanOp& op, const PlanOp& next) {
-  // The union must read the same sets the extraction used: the sets slot
-  // itself, or — when a kSlice was absorbed (slice_fused) — the slot the
-  // extraction re-materializes them into (op.out2).
-  return ctx.cluster == nullptr && op.kind == PlanOpKind::kMaskedExtract &&
-         next.kind == PlanOpKind::kFrontierUnion &&
-         next.assemble == AssembleMode::kSampledSets && next.in == op.out &&
-         next.in2 == (op.slice_fused ? op.out2 : op.in);
-}
-
-void exec_masked_union_fused(RunCtx& ctx, const PlanOp& mask_op,
-                             double* mask_seconds, double* union_seconds) {
-  check(ctx.adj != nullptr,
-        op_where(ctx, mask_op) + ": kMaskedExtract needs a replicated adjacency");
-  for (RowState& r : ctx.rows) {
-    if (r.stopped) continue;
-    auto& frontier = as_lists(ctx, r, ctx.plan.frontier_slot, mask_op);
-    Timer tr;
-    const auto& sets = resolve_sampled_sets(ctx, r, mask_op);
-    *mask_seconds += tr.seconds();
-    // The out slot stays bound (empty) so downstream reads still type-check.
-    PlanValue& out = slot_ref(ctx, r, mask_op.out, mask_op);
-    out.kind = PlanValue::Kind::kMatrixList;
-    out.mats.clear();
-    for (std::size_t b = 0; b < r.out.size(); ++b) {
-      Timer tm;
-      const CsrMatrix qr = CsrMatrix::one_nonzero_per_row(ctx.n, frontier[b]);
-      SpgemmOptions mopts;
-      mopts.column_mask = &sets[b];
-      mopts.workspace = ctx.ws;
-      const CsrMatrix a_s = spgemm(qr, *ctx.adj, mopts);
-      *mask_seconds += tm.seconds();
-      Timer tu;
-      LayerSample layer = ladies_assemble_layer(frontier[b], sets[b], a_s);
-      frontier[b] = layer.col_vertices;
-      r.out[b].layers.push_back(std::move(layer));
-      *union_seconds += tu.seconds();
-    }
   }
 }
 
@@ -759,9 +709,12 @@ void init_row(RunCtx& ctx, RowState& r, index_t first,
   for (index_t b = 0; b < count; ++b) {
     const auto& batch = batches[static_cast<std::size_t>(first + b)];
     for (const index_t v : batch) {
-      check(v >= 0 && v < ctx.n,
-            "PlanExecutor: batch vertex " + std::to_string(v) +
-                " out of range [0, " + std::to_string(ctx.n) + ")");
+      // Build the message only on failure: this loop visits every batch
+      // vertex of every run.
+      if (v < 0 || v >= ctx.n) {
+        throw DmsError("PlanExecutor: batch vertex " + std::to_string(v) +
+                       " out of range [0, " + std::to_string(ctx.n) + ")");
+      }
     }
     r.out[static_cast<std::size_t>(b)].batch_vertices = batch;
     auto& fl = fr.lists[static_cast<std::size_t>(b)];
@@ -811,21 +764,7 @@ void run_rounds(RunCtx& ctx, std::map<std::string, PlanOpStats>& stats) {
                              ? ctx.config.num_layers()
                              : ctx.plan.explicit_rounds;
   auto run_ops = [&](const std::vector<PlanOp>& ops, index_t round) {
-    for (std::size_t i = 0; i < ops.size(); ++i) {
-      const PlanOp& op = ops[i];
-      if (i + 1 < ops.size() && fusable_masked_union(ctx, op, ops[i + 1])) {
-        const PlanOp& next = ops[i + 1];
-        double mask_s = 0.0, union_s = 0.0;
-        exec_masked_union_fused(ctx, op, &mask_s, &union_s);
-        PlanOpStats& ms = stats[ctx.plan.name + "/" + op.label];
-        ms.seconds += mask_s;
-        ++ms.calls;
-        PlanOpStats& us = stats[ctx.plan.name + "/" + next.label];
-        us.seconds += union_s;
-        ++us.calls;
-        ++i;
-        continue;
-      }
+    for (const PlanOp& op : ops) {
       Timer t;
       exec_op(ctx, op, round);
       PlanOpStats& s = stats[ctx.plan.name + "/" + op.label];

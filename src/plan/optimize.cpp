@@ -58,7 +58,7 @@ void fuse_slice(std::vector<PlanOp>& ops) {
   }
 }
 
-/// Pass 4: drop slots nothing references and renumber compactly. The
+/// Pass 3: drop slots nothing references and renumber compactly. The
 /// persistent bindings (frontier / visited / prev) always stay live — the
 /// executor binds them before the first op runs.
 void eliminate_dead_slots(SamplePlan& plan) {
@@ -102,27 +102,20 @@ void eliminate_dead_slots(SamplePlan& plan) {
 
 }  // namespace
 
-SamplePlan optimize(const SamplePlan& plan, const OptimizeOptions& opts) {
+SamplePlan optimize(const SamplePlan& plan) {
   validate_plan(plan);
   SamplePlan out = plan;
   // Unlowered walk-shaped plans must keep the exact op sequence the fused
   // walk engine recognizes (its ~100x path outweighs any fusion here);
   // lowered walk plans never take that path and fuse freely.
   const bool keep_walk_shape = match_walk_plan(out).matched;
-  if (opts.fuse_normalize && !keep_walk_shape) {
+  if (!keep_walk_shape) {
     fuse_normalize(out.body);
     fuse_normalize(out.epilogue);
   }
-  if (opts.fuse_slice) {
-    fuse_slice(out.body);
-    fuse_slice(out.epilogue);
-  }
-  for (auto* ops : {&out.body, &out.epilogue}) {
-    for (PlanOp& op : *ops) {
-      if (is_spgemm(op.kind)) op.cost = opts.cost;
-    }
-  }
-  if (opts.dead_slot_elim) eliminate_dead_slots(out);
+  fuse_slice(out.body);
+  fuse_slice(out.epilogue);
+  eliminate_dead_slots(out);
   for (auto* ops : {&out.body, &out.epilogue}) {
     for (PlanOp& op : *ops) {
       if (is_spgemm(op.kind) || is_masked_extract(op.kind)) {
@@ -150,9 +143,7 @@ std::string plan_signature(const SamplePlan& plan) {
          << ',' << op.seed.layer_salt << ',' << static_cast<int>(op.seed.row)
          << ',' << static_cast<int>(op.assemble) << ',' << op.fixed_s << ','
          << op.copies << ',' << op.bias_p << ',' << op.bias_q << ','
-         << op.fused_norm << op.slice_fused << op.sole_reader_in << ','
-         << op.cost.dense_col_cost << ',' << op.cost.dense_flop_cost << ','
-         << op.cost.hash_flop_cost;
+         << op.fused_norm << op.slice_fused << op.sole_reader_in;
     }
   };
   dump(plan.body);
@@ -202,14 +193,10 @@ PlanCache& PlanCache::global() {
 }
 
 std::shared_ptr<const SamplePlan> PlanCache::get_or_optimize(
-    const SamplePlan& plan, const SamplerConfig& config,
-    const OptimizeOptions& opts) {
+    const SamplePlan& plan, const SamplerConfig& config) {
   std::ostringstream key;
   key << plan_signature(plan) << "|fanouts=";
   for (const index_t f : config.fanouts) key << f << ',';
-  key << "|opt=" << opts.fuse_normalize << opts.fuse_slice << opts.dead_slot_elim
-      << ',' << opts.cost.dense_col_cost << ',' << opts.cost.dense_flop_cost
-      << ',' << opts.cost.hash_flop_cost;
   const std::string k = key.str();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -222,7 +209,7 @@ std::shared_ptr<const SamplePlan> PlanCache::get_or_optimize(
   }
   // Optimize outside the lock (pure function of the inputs: a racing
   // constructor computes the same plan and the first insert wins).
-  auto optimized = std::make_shared<const SamplePlan>(optimize(plan, opts));
+  auto optimized = std::make_shared<const SamplePlan>(optimize(plan));
   std::lock_guard<std::mutex> lock(mu_);
   const auto [it, inserted] = map_.emplace(k, std::move(optimized));
   stats_.entries = map_.size();

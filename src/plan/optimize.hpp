@@ -13,20 +13,15 @@
 //     into one kMaskedExtract with slice_fused set: the op reads its
 //     sampled sets straight from the sampled-columns matrix and writes them
 //     to the absorbed slice's output slot for downstream readers.
-//  3. kernel dispatch   — stamps each spgemm op's SpgemmCostModel
-//     (OptimizeOptions::cost), replacing the engine's hard-coded
-//     dense-vs-hash threshold with per-row FLOP-estimate costing threaded
-//     through SpgemmOptions. Kernel choice never affects result bits.
-//  4. dead-slot elimination — drops slots no op or persistent binding
+//  3. dead-slot elimination — drops slots no op or persistent binding
 //     references and renumbers the survivors compactly.
-//  5. analysis stamping — precomputes sole_reader_of_input per matrix op so
+//  4. analysis stamping — precomputes sole_reader_of_input per matrix op so
 //     the executor's move-vs-copy decision is free at run time.
 //
 // Every pass preserves results bit-for-bit: fusions reorder no arithmetic
-// (adjacency means nothing observes the intermediate state), kernel choice
-// is covered by the engine's bit-identity contract, and renumbering touches
-// only symbolic ids. The golden-hash suite of tests/test_plan.cpp holds
-// over optimized plans unchanged.
+// (adjacency means nothing observes the intermediate state) and renumbering
+// touches only symbolic ids. The golden-hash suite of tests/test_plan.cpp
+// holds over optimized plans unchanged.
 //
 // Cross-batch plan caching: PlanCache::global() keys the optimized form by
 // the full structural signature of the input plan plus the fanouts, so
@@ -47,17 +42,9 @@
 
 namespace dms {
 
-struct OptimizeOptions {
-  bool fuse_normalize = true;
-  bool fuse_slice = true;
-  bool dead_slot_elim = true;
-  /// Cost model stamped onto every spgemm op (pass 3).
-  SpgemmCostModel cost{};
-};
-
 /// Runs the pass pipeline over a validated plan and returns the optimized
 /// (revalidated) copy. Deterministic: equal inputs yield equal outputs.
-SamplePlan optimize(const SamplePlan& plan, const OptimizeOptions& opts = {});
+SamplePlan optimize(const SamplePlan& plan);
 
 /// Exhaustive structural signature: every op field plus the plan's slot and
 /// loop structure. Two plans with equal signatures execute identically, so
@@ -69,10 +56,10 @@ std::string plan_signature(const SamplePlan& plan);
 /// --dump-plan tool prints optimize() before/after through this.
 std::string describe_diff(const SamplePlan& before, const SamplePlan& after);
 
-/// Process-wide cache of optimized plans, keyed by plan signature + fanouts
-/// + optimizer options. Values are immutable shared plans: a PlanExecutor
-/// holds the shared_ptr, so two samplers with the same plan shape and
-/// fanouts literally share one SamplePlan object.
+/// Process-wide cache of optimized plans, keyed by plan signature +
+/// fanouts. Values are immutable shared plans: a PlanExecutor holds the
+/// shared_ptr, so two samplers with the same plan shape and fanouts
+/// literally share one SamplePlan object.
 class PlanCache {
  public:
   struct Stats {
@@ -86,8 +73,7 @@ class PlanCache {
   /// Returns the cached optimized form of `plan` (optimizing and inserting
   /// on first sight). `plan` must already be validated. Thread-safe.
   std::shared_ptr<const SamplePlan> get_or_optimize(
-      const SamplePlan& plan, const SamplerConfig& config,
-      const OptimizeOptions& opts = {});
+      const SamplePlan& plan, const SamplerConfig& config);
 
   Stats stats() const;
   void clear();

@@ -17,8 +17,10 @@
 // partitioned executor runs a *lowered* plan (lower_to_dist) in which every
 // kSpgemm has been rewritten to the collective kSpgemm15d and every
 // kMaskedExtract to kMaskedExtract15d — the owner-side masked row gather,
-// which ships only each batch's sampled columns. The collectives' internal
-// fetch/exchange steps carry the communication accounting. Because every kernel obeys the
+// which ships only each batch's sampled columns. Every extraction, in
+// either mode, reads A[rows, S] through one masked row gather
+// (append_masked_row). The collectives' internal fetch/exchange steps carry
+// the communication accounting. Because every kernel obeys the
 // engine's bit-identity contract and all randomness is derived from (epoch,
 // global batch id, round, row) seeds, a plan produces bit-identical
 // minibatches in every mode, grid shape, and thread count.
@@ -29,7 +31,6 @@
 #include <vector>
 
 #include "common/types.hpp"
-#include "sparse/spgemm_cost.hpp"
 
 namespace dms {
 
@@ -71,8 +72,9 @@ enum class PlanOpKind {
   /// Per-batch row read of a matrix slot into a sampled-set slot
   /// (row b → the sampled vertex ids of batch b).
   kSlice,
-  /// Fused masked extraction A_S = (Q_R·A)[:, S] per batch (§4.2.3,
-  /// §8.2.2): rows from the frontier, columns from a sampled-set slot.
+  /// Masked extraction A_S = (Q_R·A)[:, S] per batch (§4.2.3, §8.2.2):
+  /// rows from the frontier, columns from a sampled-set slot. Q_R has one
+  /// 1.0 per row, so it runs as a masked row gather, not a product.
   /// Lowered to kMaskedExtract15d for partitioned execution.
   kMaskedExtract,
   /// EXTRACT + frontier advance: assembles one LayerSample per batch and
@@ -165,10 +167,6 @@ struct PlanOp {
   /// may move the slot value instead of copying (recomputed at run time
   /// when unstamped — an unoptimized plan behaves identically).
   bool sole_reader_in = false;
-  /// kSpgemm/kSpgemm15d kAuto dispatch cost model, threaded into
-  /// SpgemmOptions by the executor. Defaults reproduce the engine's
-  /// historical threshold; kernel choice never affects result bits.
-  SpgemmCostModel cost{};
 };
 
 /// A compiled sampler: the op program plus its slot/loop structure.

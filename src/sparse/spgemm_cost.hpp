@@ -10,9 +10,7 @@
 // scan; the hash kernel pays a constant-factor per-flop overhead (open-
 // addressing probes plus the per-row sort). The defaults reproduce the
 // engine's historical hard-coded threshold exactly (dense iff
-// 4·flops >= out_cols), so a default-constructed model changes nothing —
-// tuned models are threaded per plan op by the plan optimizer
-// (plan/optimize.hpp) through SpgemmOptions.
+// 4·flops >= out_cols); the engine's kAuto dispatch runs the default model.
 //
 // Kernel choice never affects results: every kernel obeys the engine's
 // bit-identity contract, so any cost model is a pure speed knob.
@@ -23,7 +21,7 @@
 namespace dms {
 
 /// Kernel selector. kAuto lets the symbolic-phase estimator pick per block.
-enum class SpgemmKernel { kAuto, kDense, kHash, kMasked };
+enum class SpgemmKernel { kAuto, kDense, kHash };
 
 struct SpgemmCostModel {
   /// Per output column: dense accumulator init + result scan.

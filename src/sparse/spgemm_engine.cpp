@@ -67,7 +67,7 @@ std::vector<index_t> work_balanced_bounds(const std::vector<nnz_t>& prefix,
 namespace {
 
 // ---------------------------------------------------------------------------
-// Numeric phase kernels. All three accumulate each output entry's
+// Numeric phase kernels. Both accumulate each output entry's
 // contributions in the order the A row traverses its B rows and emit sorted
 // rows, so their results are bitwise interchangeable. Each accumulator
 // borrows its buffers from the block's workspace slot and re-establishes the
@@ -234,35 +234,10 @@ void hash_block(const CsrMatrix& a, const CsrMatrix& b, index_t r0, index_t r1,
   }
 }
 
-/// Dense accumulator over mask positions (|mask| ≪ cols, so the workspace is
-/// tiny) plus a sorted-list intersection of each B row against the mask.
-struct MaskedAcc {
-  MaskedAcc(WorkspaceSlot& s, std::size_t size)
-      : mark(s.mark), acc(s.acc), touched(s.touched) {
-    mark.assign(size, -1);
-    acc.resize(size);
-    touched.clear();
-  }
-
-  std::vector<index_t>& mark;
-  std::vector<value_t>& acc;
-  std::vector<index_t>& touched;  // mask positions touched by the current row
-
-  void add(index_t row, index_t pos, value_t v) {
-    if (mark[static_cast<std::size_t>(pos)] != row) {
-      mark[static_cast<std::size_t>(pos)] = row;
-      acc[static_cast<std::size_t>(pos)] = v;
-      touched.push_back(pos);
-    } else {
-      acc[static_cast<std::size_t>(pos)] += v;
-    }
-  }
-};
-
-/// Feeds fn(mask_pos, b_index) for every column shared by the sorted B row
+/// Feeds fn(mask_pos, row_index) for every column shared by the sorted row
 /// and the sorted mask. Chooses between two-pointer merge and binary-search
 /// galloping based on the length ratio, so the cost is O(min + log max)
-/// rather than O(d) per B row.
+/// rather than O(d) per row.
 template <typename Fn>
 void intersect_sorted(std::span<const index_t> bcols,
                       const std::vector<index_t>& mask, Fn&& fn) {
@@ -306,56 +281,6 @@ void intersect_sorted(std::span<const index_t> bcols,
       fn(static_cast<index_t>(mi), j);
       ++j;
       ++mi;
-    }
-  }
-}
-
-/// Dense column→mask-position lookup (-1 when unmasked), built into the
-/// workspace's shared buffer. O(cols) — built once per call and shared
-/// read-only across all blocks when the product's flop volume amortizes the
-/// build; small products use intersect_sorted instead and never pay the
-/// O(cols) setup.
-void mask_lookup(const std::vector<index_t>& mask, index_t cols,
-                 std::vector<index_t>& pos) {
-  pos.assign(static_cast<std::size_t>(cols), -1);
-  for (std::size_t i = 0; i < mask.size(); ++i) {
-    pos[static_cast<std::size_t>(mask[i])] = static_cast<index_t>(i);
-  }
-}
-
-void masked_block(const CsrMatrix& a, const CsrMatrix& b,
-                  const std::vector<index_t>& mask,
-                  const std::vector<index_t>* lookup, index_t r0, index_t r1,
-                  WorkspaceSlot& slot) {
-  MaskedAcc ws(slot, mask.size());
-  BlockOut out(slot);
-  out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
-  for (index_t r = r0; r < r1; ++r) {
-    ws.touched.clear();
-    const auto acols = a.row_cols(r);
-    const auto avals = a.row_vals(r);
-    for (std::size_t i = 0; i < acols.size(); ++i) {
-      const index_t k = acols[i];
-      const value_t av = avals[i];
-      const auto bcols = b.row_cols(k);
-      const auto bvals = b.row_vals(k);
-      if (lookup != nullptr) {
-        for (std::size_t j = 0; j < bcols.size(); ++j) {
-          const index_t pos = (*lookup)[static_cast<std::size_t>(bcols[j])];
-          if (pos >= 0) ws.add(r, pos, av * bvals[j]);
-        }
-      } else {
-        intersect_sorted(bcols, mask, [&](index_t pos, std::size_t j) {
-          ws.add(r, pos, av * bvals[j]);
-        });
-      }
-    }
-    std::sort(ws.touched.begin(), ws.touched.end());
-    out.row_nnz[static_cast<std::size_t>(r - r0)] =
-        static_cast<nnz_t>(ws.touched.size());
-    for (const index_t pos : ws.touched) {
-      out.colidx.push_back(pos);
-      out.vals.push_back(ws.acc[static_cast<std::size_t>(pos)]);
     }
   }
 }
@@ -431,11 +356,14 @@ void for_blocks(const std::vector<index_t>& bounds, Fn&& body) {
 }  // namespace
 
 void check_mask(const std::vector<index_t>& mask, index_t cols, const char* who) {
+  // Messages are built only on failure: every extraction checks its masks.
   for (std::size_t i = 0; i < mask.size(); ++i) {
-    check(mask[i] >= 0 && mask[i] < cols,
-          std::string(who) + ": mask column id out of range");
-    check(i == 0 || mask[i - 1] < mask[i],
-          std::string(who) + ": mask must be sorted and duplicate-free");
+    if (mask[i] < 0 || mask[i] >= cols) {
+      throw DmsError(std::string(who) + ": mask column id out of range");
+    }
+    if (i > 0 && mask[i - 1] >= mask[i]) {
+      throw DmsError(std::string(who) + ": mask must be sorted and duplicate-free");
+    }
   }
 }
 
@@ -466,11 +394,6 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
   const index_t m = a.rows();
   const index_t n = b.cols();
 
-  const bool masked = opts.column_mask != nullptr;
-  check(!(opts.kernel == SpgemmKernel::kMasked && !masked),
-        "spgemm: kMasked requires a column_mask");
-  if (masked) check_mask(*opts.column_mask, n, "spgemm");
-
   Workspace local_ws;
   Workspace& ws = opts.workspace != nullptr ? *opts.workspace : local_ws;
 
@@ -480,17 +403,6 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
   const index_t max_blocks = opts.parallel ? ThreadPool::global().size() : 1;
   const std::vector<index_t> bounds = work_balanced_bounds(prefix, m, max_blocks);
   ws.ensure_slots(bounds.size() - 1);
-
-  // For flop-heavy masked products, an O(n) column→position table beats
-  // per-row sorted intersection; tiny per-minibatch extractions skip the
-  // setup entirely. Either path yields the same bits (identical
-  // contribution order), so this is a pure speed knob.
-  std::vector<index_t>* lookup = nullptr;
-  if (masked && !opts.column_mask->empty() &&
-      prefix[static_cast<std::size_t>(m)] * 2 >= n) {
-    mask_lookup(*opts.column_mask, n, ws.shared_lookup());
-    lookup = &ws.shared_lookup();
-  }
 
   // Numeric phase.
   for_blocks(bounds, [&](index_t blk) {
@@ -505,23 +417,17 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b, const SpgemmOptions& op
       out.row_nnz.assign(static_cast<std::size_t>(r1 - r0), 0);
       return;
     }
-    if (masked) {
-      masked_block(a, b, *opts.column_mask, lookup, r0, r1, slot);
+    SpgemmKernel kernel = opts.kernel;
+    if (kernel == SpgemmKernel::kAuto) kernel = spgemm_pick_kernel(block_flops, n);
+    if (kernel == SpgemmKernel::kHash) {
+      hash_block(a, b, r0, r1, prefix, slot);
     } else {
-      SpgemmKernel kernel = opts.kernel;
-      if (kernel == SpgemmKernel::kAuto) kernel = opts.cost.pick(block_flops, n);
-      if (kernel == SpgemmKernel::kHash) {
-        hash_block(a, b, r0, r1, prefix, slot);
-      } else {
-        dense_block(a, b, r0, r1, slot);
-      }
+      dense_block(a, b, r0, r1, slot);
     }
     apply_epilogue(slot, opts.epilogue);
   });
 
-  const index_t out_cols =
-      masked ? static_cast<index_t>(opts.column_mask->size()) : n;
-  return stitch(m, out_cols, bounds, ws);
+  return stitch(m, n, bounds, ws);
 }
 
 CsrMatrix spgemm_masked(const CsrMatrix& a, const std::vector<index_t>& mask,

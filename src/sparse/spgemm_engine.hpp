@@ -15,16 +15,16 @@
 //      * hash   — nsparse-style open addressing sized to each row's
 //                 upper-bound fill. Wins for sparse rows over wide matrices
 //                 (the Qˡ·A probability products, rows ≪ n).
-//      * masked — computes only the output columns listed in an explicit
-//                 column mask, via sorted-list intersection against each
-//                 B row. Turns the LADIES/FastGCN column-extraction pattern
-//                 (compute AᵣB in full, keep s columns) into work
-//                 proportional to the surviving nonzeros (§4.1.3, §8.2.2).
 //
-// Bit-identity contract: all kernels emit rows in sorted column order and
+// The extraction product (Q_R·A)[:, S] of LADIES/FastGCN is not a general
+// product: Q_R has one 1.0 per row, so it is a row gather restricted to the
+// sampled columns — append_masked_row, which every extraction (replicated,
+// 1.5D, induced subgraph) runs (§4.1.3, §8.2.2).
+//
+// Bit-identity contract: both kernels emit rows in sorted column order and
 // accumulate each output entry's contributions in the same order (the order
-// the A row traverses its B rows), so dense, hash, auto and masked products
-// are bit-identical — not merely close. This is what lets the samplers
+// the A row traverses its B rows), so dense, hash and auto products are
+// bit-identical — not merely close. This is what lets the samplers
 // dispatch adaptively while preserving the PR-1 single-node/partitioned
 // equivalence contract, and what makes the distributed 1.5D SpGEMM's results
 // independent of the per-panel kernel choice.
@@ -52,19 +52,11 @@ enum class SpgemmEpilogue { kNone, kRowNormalize, kLadiesNormalize };
 struct SpgemmOptions {
   /// Parallelize over flop-balanced row blocks using the global thread pool.
   bool parallel = true;
-  /// Kernel override; kAuto dispatches per row block.
+  /// Kernel override; kAuto dispatches per row block with the default
+  /// SpgemmCostModel (sparse/spgemm_cost.hpp). Never affects result bits.
   SpgemmKernel kernel = SpgemmKernel::kAuto;
-  /// kAuto's per-block dense-vs-hash decision (sparse/spgemm_cost.hpp). The
-  /// default model reproduces the historical threshold; the plan optimizer
-  /// threads per-op models through here. Never affects result bits.
-  SpgemmCostModel cost{};
   /// Fused row normalization applied per block before stitching.
   SpgemmEpilogue epilogue = SpgemmEpilogue::kNone;
-  /// When non-null: compute only these columns of the product (must be
-  /// sorted and duplicate-free; ids index the product's column space), and
-  /// renumber them 0..mask.size()-1 in order. Forces the masked kernel.
-  /// The pointee must outlive the call.
-  const std::vector<index_t>* column_mask = nullptr;
   /// Reusable scratch arena (DESIGN.md §7). When non-null, every symbolic
   /// prefix, block accumulator, and staging buffer comes from (and stays
   /// in) the workspace, so repeated products allocate only their results.
@@ -73,10 +65,9 @@ struct SpgemmOptions {
   Workspace* workspace = nullptr;
 };
 
-/// C = A * B. A is (m × k), B is (k × n); C is (m × n), or (m × |mask|)
-/// when opts.column_mask is set. Per-row column ids of C are sorted and the
-/// result is bitwise independent of the kernel choice, the block
-/// decomposition, and the thread count.
+/// C = A * B. A is (m × k), B is (k × n); C is (m × n). Per-row column ids
+/// of C are sorted and the result is bitwise independent of the kernel
+/// choice, the block decomposition, and the thread count.
 CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
                  const SpgemmOptions& opts = {});
 
@@ -89,7 +80,7 @@ CsrMatrix spgemm(const CsrMatrix& a, const CsrMatrix& b,
 CsrMatrix spgemm_masked(const CsrMatrix& a, const std::vector<index_t>& mask,
                         const SpgemmOptions& opts = {});
 
-/// The column-mask contract of every masked product: ids in [0, cols),
+/// The column-mask contract of every masked extraction: ids in [0, cols),
 /// sorted, duplicate-free. Throws DmsError naming `who` otherwise.
 void check_mask(const std::vector<index_t>& mask, index_t cols, const char* who);
 

@@ -235,13 +235,14 @@ std::size_t Pipeline::per_rank_bytes(int rank) const {
   // Colocated, every rank holds both shares; disaggregated, sampler ranks
   // hold only their adjacency block rows and trainer ranks only the rest —
   // the memory asymmetry that funds a higher trainer replication factor or
-  // a larger cache.
+  // a larger cache. The adjacency billed is the sampler's own graph: for
+  // PinSAGE that is its importance graph, not the dataset's.
   std::size_t bytes = 0;
   if (roles_.samples(rank)) {
     bytes += sampler_->partitioned()
                  ? sampler_->dist_adjacency().block_bytes(
                        roles_.sampler_grid.row_of(rank))
-                 : ds_.graph.adjacency().bytes();
+                 : sampler_->graph().adjacency().bytes();
   }
   if (roles_.trains(rank)) {
     bytes += model_.param_bytes() +

@@ -219,6 +219,32 @@ TEST(Pipeline, PerRankBytesArePinnedPerMode) {
   }
 }
 
+TEST(Pipeline, ReplicatedPinSageBillsItsImportanceGraph) {
+  // PinSAGE samples its importance graph, so a replicated rank holds that
+  // adjacency instead of the dataset's; everything else it holds is what a
+  // GraphSAGE rank holds.
+  const Dataset ds = small_planted();
+  PipelineConfig cfg = small_config();
+  Cluster c1(ProcessGrid(4, 1), CostModel(LinkParams{}));
+  Pipeline sage(c1, ds, cfg);
+  cfg.sampler = SamplerKind::kPinSage;
+  Cluster c2(ProcessGrid(4, 1), CostModel(LinkParams{}));
+  Pipeline pinsage(c2, ds, cfg);
+  SamplerContext ctx;
+  ctx.config = SamplerConfig{cfg.fanouts, cfg.seed};
+  const auto importance = make_sampler(SamplerKind::kPinSage, DistMode::kReplicated,
+                                       ds.graph, ctx);
+  const auto want = static_cast<std::ptrdiff_t>(
+                        importance->graph().adjacency().bytes()) -
+                    static_cast<std::ptrdiff_t>(ds.graph.adjacency().bytes());
+  for (int r = 0; r < 4; ++r) {
+    EXPECT_EQ(static_cast<std::ptrdiff_t>(pinsage.per_rank_bytes(r)) -
+                  static_cast<std::ptrdiff_t>(sage.per_rank_bytes(r)),
+              want)
+        << "rank " << r;
+  }
+}
+
 TEST(Pipeline, PerRankBytesRejectsRanksOutsideTheCluster) {
   const Dataset ds = small_planted();
   for (const DistMode mode : testutil::kAllDistModes) {

@@ -125,6 +125,77 @@ TEST(PlanGolden, PartitionedRunsReproduceTheSameGoldenHashes) {
   }
 }
 
+// --- extraction edge cases --------------------------------------------------
+// Masked extraction A[rows, S] at its boundaries: a batch on isolated
+// vertices (LADIES samples an empty set; FastGCN's rows gather nothing), a
+// batch mixing isolated and connected vertices, and single-vertex batches
+// whose first-round fanout covers the whole frontier neighbourhood. SAINT
+// covers the induced-subgraph gather (a walk rooted on an isolated vertex
+// dies at once). The hashes were recorded before the replicated extraction
+// moved from the column-mask SpGEMM to the row gather, and hold in both
+// modes.
+
+/// golden_graph's generator on 200 vertices, padded with 40 isolated ones.
+Graph edge_case_graph() {
+  const Graph base = generate_erdos_renyi(200, 9.0, 42);
+  const CsrMatrix& a = base.adjacency();
+  std::vector<nnz_t> rowptr = a.rowptr();
+  rowptr.resize(241, a.nnz());
+  return Graph(CsrMatrix(240, 240, std::move(rowptr), a.colidx(), a.vals()));
+}
+
+const std::vector<std::vector<index_t>> kEdgeBatches = {
+    {200, 215, 239}, {3, 220}, {17}, {60, 71, 82, 93, 104, 115, 126, 137}};
+const std::vector<index_t> kEdgeIds = {0, 1, 2, 3};
+const SamplerConfig kEdgeConfig{{40, 6}, /*seed=*/9};
+
+constexpr std::uint64_t kEdgeLadies = 4510559409408502436ULL;
+constexpr std::uint64_t kEdgeFastGcn = 18399736276106473356ULL;
+constexpr std::uint64_t kEdgeSaint = 1574397550220329006ULL;
+
+TEST(PlanEdgeCases, MaskedExtractionBoundariesPinnedInBothModes) {
+  const Graph g = edge_case_graph();
+  const ProcessGrid grid(4, 2);
+  for (const auto& [kind, golden] :
+       std::vector<std::pair<SamplerKind, std::uint64_t>>{
+           {SamplerKind::kLadies, kEdgeLadies},
+           {SamplerKind::kFastGcn, kEdgeFastGcn}}) {
+    for (const DistMode mode : {DistMode::kReplicated, DistMode::kPartitioned}) {
+      SamplerContext ctx;
+      ctx.config = kEdgeConfig;
+      if (mode == DistMode::kPartitioned) ctx.grid = &grid;
+      const auto s = make_sampler(kind, mode, g, ctx);
+      const auto got = s->sample_bulk(kEdgeBatches, kEdgeIds, kGoldenEpoch);
+      EXPECT_EQ(hash_samples(got), golden) << to_string(kind);
+      // The isolated batch's first layer gathers no edges.
+      EXPECT_EQ(got[0].layers[0].adj.nnz(), 0) << to_string(kind);
+    }
+  }
+  const auto ladies = make_sampler(SamplerKind::kLadies, g, kEdgeConfig);
+  const auto got = ladies->sample_bulk(kEdgeBatches, kEdgeIds, kGoldenEpoch);
+  // LADIES samples nothing for the isolated batch, so its frontier never
+  // grows and every layer is empty.
+  for (const LayerSample& layer : got[0].layers) {
+    EXPECT_EQ(layer.adj.nnz(), 0);
+    EXPECT_EQ(layer.col_vertices.size(), layer.row_vertices.size());
+  }
+  // The single-vertex batch's first layer holds its whole neighbourhood:
+  // every adjacency entry of vertex 17 survives.
+  EXPECT_EQ(got[2].layers[0].adj.nnz(), g.adjacency().row_nnz(17));
+}
+
+TEST(PlanEdgeCases, InducedSubgraphBoundariesPinnedInBothModes) {
+  const Graph g = edge_case_graph();
+  const ProcessGrid grid(4, 2);
+  for (const ProcessGrid* gp : {static_cast<const ProcessGrid*>(nullptr), &grid}) {
+    MatrixSampler s(g, build_saint_plan(3, 2), walk_adapter_config(2, /*seed=*/1),
+                    gp);
+    EXPECT_EQ(hash_samples(s.sample_bulk(kEdgeBatches, kEdgeIds, kGoldenEpoch)),
+              kEdgeSaint)
+        << (gp == nullptr ? "replicated" : "partitioned");
+  }
+}
+
 // --- SamplerKind × DistMode parity ------------------------------------------
 
 bool samples_equal(const MinibatchSample& a, const MinibatchSample& b) {

@@ -1,8 +1,11 @@
 // The unified SpGEMM engine: property tests asserting every kernel (dense,
-// hash, auto-dispatched, masked) produces bit-identical results on random
-// CSR inputs across shapes — including empty rows/columns and random
-// duplicate-free masks — plus dispatch and mask-contract checks.
+// hash, auto-dispatched) produces bit-identical results on random CSR
+// inputs across shapes — including empty rows/columns — and that the masked
+// row gather equals the extraction product it replaces under random
+// duplicate-free masks, plus dispatch and mask-contract checks.
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/rng.hpp"
 #include "sparse/ops.hpp"
@@ -31,6 +34,29 @@ std::vector<index_t> random_mask(index_t cols, double keep, std::uint64_t seed) 
     if (rng.uniform() < keep) mask.push_back(c);
   }
   return mask;
+}
+
+/// A[rows, mask] through append_masked_row, one row at a time.
+CsrMatrix gather(const CsrMatrix& a, const std::vector<index_t>& rows,
+                 const std::vector<index_t>& mask) {
+  std::vector<nnz_t> rowptr{0};
+  std::vector<index_t> cols;
+  std::vector<value_t> vals;
+  for (const index_t r : rows) {
+    rowptr.push_back(rowptr.back() + append_masked_row(a, r, mask, cols, vals));
+  }
+  return CsrMatrix(static_cast<index_t>(rows.size()),
+                   static_cast<index_t>(mask.size()), std::move(rowptr),
+                   std::move(cols), std::move(vals));
+}
+
+/// Q_C: the (cols × |mask|) selection matrix with a 1 at (mask[j], j).
+CsrMatrix column_selector(index_t cols, const std::vector<index_t>& mask) {
+  CooMatrix coo(cols, static_cast<index_t>(mask.size()));
+  for (std::size_t j = 0; j < mask.size(); ++j) {
+    coo.push(mask[j], static_cast<index_t>(j), 1.0);
+  }
+  return CsrMatrix::from_coo(coo);
 }
 
 struct EngineSweep {
@@ -63,24 +89,29 @@ TEST_P(SpgemmEngineSweep, AllKernelsBitIdentical) {
 }
 
 TEST_P(SpgemmEngineSweep, MaskedVariantMatchesProductThenSlice) {
+  // The extraction A_S = Q_R·B·Q_C (§4.1.3) with Q_R one 1.0 per row: the
+  // masked row gather must reproduce both products bit for bit.
   const auto p = GetParam();
-  const CsrMatrix a = random_csr(p.m, p.k, p.da, 311 + p.m);
   const CsrMatrix b = random_csr(p.k, p.n, p.db, 313 + p.n);
-  const CsrMatrix full = run(a, b, SpgemmKernel::kDense);
+  std::vector<index_t> rows = random_mask(p.k, 0.6, 319 + p.k);
+  std::reverse(rows.begin(), rows.end());  // frontier order is arbitrary
+  const CsrMatrix q_r = CsrMatrix::one_nonzero_per_row(p.k, rows);
 
   for (const double keep : {0.0, 0.25, 1.0}) {
     const std::vector<index_t> mask =
         random_mask(p.n, keep, 317 + p.m + static_cast<std::uint64_t>(keep * 8));
-    SpgemmOptions opts;
-    opts.column_mask = &mask;
-    const CsrMatrix masked = spgemm(a, b, opts);
+    const CsrMatrix masked = gather(b, rows, mask);
     masked.validate();
+    EXPECT_EQ(masked.rows(), static_cast<index_t>(rows.size()));
     EXPECT_EQ(masked.cols(), static_cast<index_t>(mask.size()));
     if (mask.empty()) {
       EXPECT_EQ(masked.nnz(), 0);
       continue;
     }
-    EXPECT_TRUE(masked == extract_columns(full, mask));
+    const CsrMatrix product =
+        run(run(q_r, b, SpgemmKernel::kDense), column_selector(p.n, mask),
+            SpgemmKernel::kDense);
+    EXPECT_TRUE(masked == product);
   }
 }
 
@@ -154,22 +185,12 @@ TEST(SpgemmEngine, MaskedExtractionEmptyMask) {
 
 TEST(SpgemmEngine, MaskContractViolationsThrow) {
   const CsrMatrix a = random_csr(4, 6, 0.5, 407);
-  const CsrMatrix b = random_csr(6, 8, 0.5, 408);
   const std::vector<index_t> unsorted{3, 1};
   const std::vector<index_t> duplicated{2, 2};
   const std::vector<index_t> out_of_range{7, 8};
-  SpgemmOptions opts;
-  opts.column_mask = &unsorted;
-  EXPECT_THROW(spgemm(a, b, opts), DmsError);
-  opts.column_mask = &duplicated;
-  EXPECT_THROW(spgemm(a, b, opts), DmsError);
-  opts.column_mask = &out_of_range;
-  EXPECT_THROW(spgemm(a, b, opts), DmsError);
+  EXPECT_THROW(spgemm_masked(a, unsorted), DmsError);
+  EXPECT_THROW(spgemm_masked(a, duplicated), DmsError);
   EXPECT_THROW(spgemm_masked(a, out_of_range), DmsError);
-  // Forcing the masked kernel without providing a mask is a contract error.
-  SpgemmOptions no_mask;
-  no_mask.kernel = SpgemmKernel::kMasked;
-  EXPECT_THROW(spgemm(a, b, no_mask), DmsError);
 }
 
 TEST(SpgemmEngine, DimensionMismatchThrows) {
@@ -201,16 +222,15 @@ TEST(SpgemmEngine, SkewedRowsStayBitIdenticalAcrossDecompositions) {
 }
 
 TEST(SpgemmEngine, SharedWorkspaceReuseAcrossKernelsAndShapes) {
-  // One arena serving interleaved dense/hash/auto/masked products of
-  // different shapes must never change any result: every accumulator
-  // re-establishes its own state from whatever a previous call left behind
-  // (the stale-mark / stale-hash-fill regression this pins down).
+  // One arena serving interleaved dense/hash/auto products and masked
+  // extractions of different shapes must never change any result: every
+  // accumulator re-establishes its own state from whatever a previous call
+  // left behind (the stale-mark / stale-hash-fill regression this pins
+  // down).
   const CsrMatrix a1 = random_csr(40, 90, 0.2, 421);
   const CsrMatrix b1 = random_csr(90, 120, 0.1, 422);
   const CsrMatrix a2 = random_csr(7, 300, 0.3, 423);
   const CsrMatrix b2 = random_csr(300, 50, 0.05, 424);
-  std::vector<index_t> mask;
-  for (index_t c = 3; c < 120; c += 7) mask.push_back(c);
 
   Workspace ws;
   for (int round = 0; round < 3; ++round) {
@@ -223,11 +243,6 @@ TEST(SpgemmEngine, SharedWorkspaceReuseAcrossKernelsAndShapes) {
       EXPECT_TRUE(spgemm(a1, b1, reused) == spgemm(a1, b1, fresh));
       EXPECT_TRUE(spgemm(a2, b2, reused) == spgemm(a2, b2, fresh));
     }
-    SpgemmOptions fresh;
-    fresh.column_mask = &mask;
-    SpgemmOptions reused = fresh;
-    reused.workspace = &ws;
-    EXPECT_TRUE(spgemm(a1, b1, reused) == spgemm(a1, b1, fresh));
     std::vector<index_t> col_mask;  // indexes a1's own 90 columns
     for (index_t c = 2; c < 90; c += 5) col_mask.push_back(c);
     SpgemmOptions mfresh;
